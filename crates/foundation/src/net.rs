@@ -8,15 +8,13 @@
 //! * [`read_line_bounded`] / [`write_line`] — the line framing itself,
 //!   with a hard cap on line length so a hostile peer cannot make the
 //!   reader buffer unbounded garbage. [`read_line_into`] is the
-//!   buffer-reusing variant the daemon's hot path runs on, and
-//!   [`write_lines_coalesced`] turns a pipelined burst of responses into
-//!   one vectored write instead of a syscall pair per line.
+//!   buffer-reusing variant the daemon's hot path runs on.
 //! * [`read_frame`] / [`write_frame`] — a length-prefixed alternative
 //!   (`<decimal length>\n<payload>`) for payloads that may themselves
 //!   contain newlines (bulk space uploads, archived journals).
 //! * [`TcpServer`] — a non-blocking accept loop that polls a stop flag,
 //!   so a daemon can drain gracefully instead of being killed out of
-//!   `accept(2)`.
+//!   `accept(2)`. Accepted streams have Nagle's algorithm off.
 
 use std::io::{self, BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -129,66 +127,6 @@ pub fn write_line(writer: &mut impl Write, line: &str) -> io::Result<()> {
     writer.flush()
 }
 
-/// How many buffers a single `writev(2)` call covers in
-/// [`write_lines_coalesced`]. Linux caps `IOV_MAX` at 1024; 64 keeps the
-/// stack frame small while still coalescing a full pipeline burst.
-const WRITE_BATCH: usize = 64;
-
-/// Writes a batch of pre-rendered, newline-terminated response buffers
-/// as coalesced vectored writes (one `writev` per [`WRITE_BATCH`]
-/// buffers instead of two syscalls per line), then flushes once.
-///
-/// # Errors
-///
-/// Any underlying write error; a writer that accepts zero bytes yields
-/// [`io::ErrorKind::WriteZero`].
-pub fn write_lines_coalesced(writer: &mut impl Write, lines: &[Vec<u8>]) -> io::Result<()> {
-    for group in lines.chunks(WRITE_BATCH) {
-        let slices: [io::IoSlice<'_>; WRITE_BATCH] = std::array::from_fn(|i| {
-            io::IoSlice::new(group.get(i).map_or(&[][..], |line| &line[..]))
-        });
-        write_vectored_all(writer, &slices[..group.len()])?;
-    }
-    writer.flush()
-}
-
-/// Drives `write_vectored` to completion across partial writes.
-fn write_vectored_all(writer: &mut impl Write, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-    let mut idx = 0;
-    let mut off = 0;
-    let mut total = 0;
-    while idx < bufs.len() {
-        if bufs[idx].is_empty() {
-            idx += 1;
-            continue;
-        }
-        if off == 0 {
-            let n = writer.write_vectored(&bufs[idx..])?;
-            if n == 0 {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole buffer",
-                ));
-            }
-            total += n;
-            let mut advance = n;
-            while idx < bufs.len() && advance >= bufs[idx].len() {
-                advance -= bufs[idx].len();
-                idx += 1;
-            }
-            off = advance;
-        } else {
-            // A partial write landed mid-buffer: finish this buffer with
-            // plain `write_all`, then resume vectored writes.
-            writer.write_all(&bufs[idx][off..])?;
-            total += bufs[idx].len() - off;
-            off = 0;
-            idx += 1;
-        }
-    }
-    Ok(total)
-}
-
 /// Writes a length-prefixed frame: the payload length in ASCII decimal,
 /// a newline, then the raw payload bytes. Flushes.
 ///
@@ -258,9 +196,12 @@ impl TcpServer {
     }
 
     /// Accepts connections until `stop` becomes true, invoking `on_conn`
-    /// for each accepted stream (restored to blocking mode). `on_conn`
-    /// decides its own concurrency — spawn a thread, queue the stream,
-    /// or handle it inline.
+    /// for each accepted stream, restored to blocking mode and with
+    /// `TCP_NODELAY` set: a request/response protocol writes whole
+    /// replies, and Nagle's algorithm would hold a small one back until
+    /// the peer ACKs the previous one. `on_conn` decides its own
+    /// concurrency — spawn a thread, queue the stream, or handle it
+    /// inline.
     ///
     /// # Errors
     ///
@@ -277,7 +218,10 @@ impl TcpServer {
             }
             match self.listener.accept() {
                 Ok((stream, peer)) => {
-                    if stream.set_nonblocking(false).is_ok() {
+                    let setup = stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.set_nodelay(true));
+                    if setup.is_ok() {
                         on_conn(stream, peer);
                     }
                 }
@@ -553,31 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_writes_match_per_line_writes() {
-        let lines: Vec<Vec<u8>> = (0..150)
-            .map(|i| format!("response {i}\n").into_bytes())
-            .collect();
-        let mut coalesced = Vec::new();
-        write_lines_coalesced(&mut coalesced, &lines).unwrap();
-        let flat: Vec<u8> = lines.concat();
-        assert_eq!(coalesced, flat);
-
-        // Partial writes (fault-injected) still land every byte in order.
-        let plan = NetFaultPlan::new(
-            7,
-            64,
-            NetFaultRates {
-                drop_per_mille: 0,
-                partial_per_mille: 1000,
-                stall_per_mille: 0,
-            },
-        );
-        let mut faulty = FaultStream::new(Vec::<u8>::new(), plan);
-        write_lines_coalesced(&mut faulty, &lines).unwrap();
-        assert_eq!(faulty.into_inner(), flat);
-    }
-
-    #[test]
     fn oversized_lines_are_rejected_not_buffered() {
         let input = vec![b'x'; 1000];
         let mut r = BufReader::new(&input[..]);
@@ -642,6 +561,27 @@ mod tests {
 
         stop.store(true, Ordering::SeqCst);
         accept.join().unwrap();
+    }
+
+    #[test]
+    fn accepted_streams_have_nagle_off() {
+        let server = TcpServer::bind("127.0.0.1:0").unwrap();
+        let addr = server.local_addr();
+        let stop = AtomicBool::new(false);
+        let client = TcpStream::connect(addr).unwrap();
+        let mut nodelay = None;
+        server
+            .serve(&stop, |stream, _| {
+                nodelay = Some(stream.nodelay().unwrap());
+                stop.store(true, Ordering::SeqCst);
+            })
+            .unwrap();
+        drop(client);
+        assert_eq!(
+            nodelay,
+            Some(true),
+            "serve must hand on_conn a TCP_NODELAY stream"
+        );
     }
 
     #[test]

@@ -2,16 +2,21 @@
 //! [`foundation::net::TcpServer`], with graceful drain and admission
 //! control.
 //!
-//! Each connection reads newline-delimited JSON requests. Whatever the
-//! client has pipelined (every complete line already buffered) is
-//! handed to [`Engine::handle_batch`] as one batch, so independent
-//! sessions on one connection still fan out across the worker pool
-//! while responses come back in request order.
+//! Each connection reads newline-delimited JSON requests and is served
+//! by one inline loop, [`serve_connection`]: whatever the client has
+//! pipelined (every complete line already buffered) is one burst,
+//! answered in request order on the connection's own thread into one
+//! reused reply buffer and written with one `write` per burst.
+//! Parallelism is per connection: distinct connections run on distinct
+//! threads, while one connection's burst runs sequentially. Accepted
+//! sockets have Nagle's algorithm off (`TCP_NODELAY`), so a small reply
+//! leaves as soon as it is written instead of waiting for the client's
+//! next ACK.
 //!
 //! Overload protection (tunables in [`crate::guard::GuardConfig`]):
 //! a connection past `max_connections` is answered with a single
 //! `DSL309` line (carrying `retry_after_ms`) and dropped; pipelined
-//! requests past `max_inflight_per_conn` in one batch are shed the same
+//! requests past `max_inflight_per_conn` in one burst are shed the same
 //! way, in request order, so a backed-off client loses nothing silently;
 //! a connection idle past `read_timeout` mid-read is reaped — the
 //! slow-loris defense. Both registries (socket clones for drain wake-up,
@@ -20,14 +25,14 @@
 //! not by every connection it ever accepted.
 //!
 //! Drain protocol: a `shutdown` request flips the engine's draining
-//! flag. The connection that carried it answers, then trips the accept
-//! loop's stop flag; [`Server::run`] wakes every blocked reader with
-//! `shutdown(Read)` — pending responses still flush, the sockets just
-//! stop producing requests — and joins all connection threads before
-//! returning.
+//! flag. The connection that carried it finishes its burst, then trips
+//! the accept loop's stop flag; [`Server::run`] wakes every blocked
+//! reader with `shutdown(Read)` — pending responses still flush, the
+//! sockets just stop producing requests — and joins all connection
+//! threads before returning.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -234,45 +239,73 @@ fn is_idle_timeout(e: &io::Error) -> bool {
     )
 }
 
-/// One connection: read everything pipelined, answer as a batch, until
-/// EOF, error, idle timeout, or drain.
-///
-/// The hot path is buffer-reuse end to end: one warm scratch buffer
-/// absorbs every request line, one warm response buffer absorbs every
-/// rendered reply, and a pipelined burst is flushed as coalesced
-/// vectored writes — in steady state the wire path allocates nothing.
+/// One connection: the socket is both the reader (buffered) and the
+/// writer (unbuffered: [`serve_connection`] hands it whole bursts).
 fn connection(engine: &Engine, stream: TcpStream, stop: &AtomicBool) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = io::BufReader::new(read_half);
-    let mut writer = io::BufWriter::new(stream);
+    let mut reader = io::BufReader::new(&stream);
+    serve_connection(engine, &mut reader, &mut &stream, stop);
+}
+
+/// Once the pending replies of a burst reach this many bytes they are
+/// written out mid-burst, so a burst of large `surviving_cores` pages
+/// holds at most this much plus one reply, not the whole burst.
+pub const WRITE_AT: usize = 64 * 1024;
+
+/// Serves one connection until EOF, error, idle timeout, or drain.
+///
+/// A burst is every complete line the client has already pipelined
+/// (the reader's buffer still holds a `\n`). Its lines are answered in
+/// order on this thread into one reused reply buffer, which is written
+/// once per burst (and early, whenever it passes [`WRITE_AT`]). Lines
+/// past `max_inflight_per_conn` in one burst are shed with `DSL309` in
+/// request order. In steady state the loop allocates nothing: the line
+/// and reply buffers stay warm across bursts.
+///
+/// Generic over the transport so tests can drive it in memory; the
+/// daemon runs it on a `TcpStream`. The reader is a `BufReader` rather
+/// than any `BufRead` because ending a burst means peeking at what is
+/// already buffered without blocking for more.
+#[doc(hidden)]
+pub fn serve_connection(
+    engine: &Engine,
+    reader: &mut io::BufReader<impl Read>,
+    writer: &mut impl Write,
+    stop: &AtomicBool,
+) {
+    let cap = engine.guard().max_inflight_per_conn.max(1);
     let mut line_buf: Vec<u8> = Vec::new();
     let mut resp_buf: Vec<u8> = Vec::new();
+    let mut in_burst = 0;
     loop {
-        match net::read_line_into(&mut reader, MAX_WIRE_BYTES, &mut line_buf) {
-            Ok(Some(_)) => {}
-            Ok(None) => return, // clean EOF
+        let line = match net::read_line_into(reader, MAX_WIRE_BYTES, &mut line_buf) {
+            Ok(Some(line)) => line,
+            // A burst always ends with a flush, so nothing is pending
+            // when the next read finds EOF or an idle peer.
+            Ok(None) => return,                      // clean EOF
             Err(e) if is_idle_timeout(&e) => return, // reap the idle connection
             Err(e) => {
-                // An unframeable line (oversized / not UTF-8): tell the
-                // client why, then drop the connection — the stream
-                // cannot be resynchronized.
-                resp_buf.clear();
-                render_err_into(&mut resp_buf, None, &ProtocolError::malformed(e.to_string()));
+                // An unframeable line (oversized / not UTF-8): answer
+                // what came before it, tell the client why, then drop
+                // the connection — the stream cannot be resynchronized.
+                render_err_into(
+                    &mut resp_buf,
+                    None,
+                    &ProtocolError::malformed(e.to_string()),
+                );
                 resp_buf.push(b'\n');
                 let _ = writer.write_all(&resp_buf).and_then(|()| writer.flush());
                 return;
             }
-        }
-        if !reader.buffer().contains(&b'\n') {
-            // The common interactive case — one request in, one response
-            // out — runs entirely through the reused buffers.
-            let line =
-                std::str::from_utf8(&line_buf).expect("read_line_into validated UTF-8");
-            resp_buf.clear();
+        };
+        if in_burst < cap {
             engine.handle_line_into(line, &mut resp_buf);
-            resp_buf.push(b'\n');
+        } else {
+            shed_into(engine, line, &mut resp_buf);
+        }
+        resp_buf.push(b'\n');
+        in_burst += 1;
+        let burst_done = !reader.buffer().contains(&b'\n');
+        if burst_done || resp_buf.len() >= WRITE_AT {
             if writer
                 .write_all(&resp_buf)
                 .and_then(|()| writer.flush())
@@ -280,60 +313,37 @@ fn connection(engine: &Engine, stream: TcpStream, stop: &AtomicBool) {
             {
                 return;
             }
-        } else {
-            // Greedily take every complete line the client has already
-            // pipelined: they become one parallel batch, answered with
-            // one coalesced vectored write per burst.
-            let mut batch: Vec<String> = Vec::new();
-            batch.push(
-                std::str::from_utf8(&line_buf)
-                    .expect("read_line_into validated UTF-8")
-                    .to_owned(),
-            );
-            while reader.buffer().contains(&b'\n') {
-                match net::read_line_into(&mut reader, MAX_WIRE_BYTES, &mut line_buf) {
-                    Ok(Some(line)) => batch.push(line.to_owned()),
-                    _ => break,
-                }
-            }
-            // Backpressure: admit up to the per-connection cap, shed the
-            // rest with DSL309 so the client can retry after backing
-            // off — responses still come back in request order.
-            let guard_cfg = engine.guard();
-            let cap = guard_cfg.max_inflight_per_conn.max(1).min(batch.len());
-            let shed = batch.split_off(cap);
-            let mut responses = engine.handle_batch_into(&batch);
-            for response in &mut responses {
-                response.push(b'\n');
-            }
-            for line in &shed {
-                engine.note_overload();
-                let (_, env) = parse_request(line);
-                let mut bytes = Vec::new();
-                foundation::json::write_json(
-                    &mut bytes,
-                    &err_response(
-                        &env.id,
-                        &ProtocolError::overloaded(
-                            format!(
-                                "batch limit reached ({} in flight on this connection)",
-                                guard_cfg.max_inflight_per_conn
-                            ),
-                            guard_cfg.retry_after_ms,
-                        ),
-                    ),
-                );
-                bytes.push(b'\n');
-                responses.push(bytes);
-            }
-            if net::write_lines_coalesced(&mut writer, &responses).is_err() {
+            resp_buf.clear();
+        }
+        if burst_done {
+            in_burst = 0;
+            if engine.is_draining() {
+                // Carry the drain to the accept loop; run() wakes the rest.
+                stop.store(true, Ordering::SeqCst);
                 return;
             }
         }
-        if engine.is_draining() {
-            // Carry the drain to the accept loop; run() wakes the rest.
-            stop.store(true, Ordering::SeqCst);
-            return;
-        }
     }
+}
+
+/// Backpressure: answers a request past the per-connection cap with a
+/// `DSL309` line carrying the retry hint, so a backed-off client loses
+/// nothing silently.
+fn shed_into(engine: &Engine, line: &str, out: &mut Vec<u8>) {
+    engine.note_overload();
+    let guard_cfg = engine.guard();
+    let (_, env) = parse_request(line);
+    foundation::json::write_json(
+        out,
+        &err_response(
+            &env.id,
+            &ProtocolError::overloaded(
+                format!(
+                    "batch limit reached ({} in flight on this connection)",
+                    guard_cfg.max_inflight_per_conn
+                ),
+                guard_cfg.retry_after_ms,
+            ),
+        ),
+    );
 }

@@ -14,10 +14,11 @@
 //! session explores, and [`EngineBuilder::build`] replays every journal
 //! found at boot — a killed daemon comes back with all its sessions.
 //!
-//! [`Engine::handle_batch`] fans independent sessions out over
-//! [`foundation::par`] while keeping each session's requests in
-//! submission order, so a pipelining client observes exactly the
-//! sequential semantics.
+//! [`Engine::handle_line_into`] answers one request line into a
+//! caller-owned buffer. The engine has no batch entry point: the TCP
+//! front answers a pipelined burst line by line, in order, on the
+//! connection's thread, so concurrency comes from concurrent callers
+//! (one per connection), never from splitting one caller's lines.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -473,7 +474,7 @@ impl Engine {
     }
 
     /// Records a shed request (connection cap, batch cap) refused at the
-    /// transport before reaching [`Engine::handle_batch`], so `stats`
+    /// transport before reaching [`Engine::handle_line_into`], so `stats`
     /// counts every DSL309 the daemon emits.
     pub fn note_overload(&self) {
         self.overloaded.fetch_add(1, Ordering::Relaxed);
@@ -516,98 +517,6 @@ impl Engine {
     pub fn handle_line_tree(&self, line: &str) -> String {
         let (parsed, env) = parse_request(line);
         foundation::json::encode(&self.handle_parsed(parsed, &env))
-    }
-
-    /// Handles a batch of request lines (e.g. everything a pipelining
-    /// client has buffered). Requests for distinct sessions run in
-    /// parallel on [`foundation::par`]; requests for the same session
-    /// keep their submission order; responses come back in request
-    /// order.
-    pub fn handle_batch(&self, lines: &[String]) -> Vec<String> {
-        self.handle_batch_into(lines)
-            .into_iter()
-            .map(|bytes| String::from_utf8(bytes).expect("responses are UTF-8"))
-            .collect()
-    }
-
-    /// [`Engine::handle_batch`] without the `String` conversions: the
-    /// daemon hands the response buffers straight to the coalesced
-    /// vectored writer.
-    pub fn handle_batch_into(&self, lines: &[String]) -> Vec<Vec<u8>> {
-        if lines.len() <= 1 {
-            return lines
-                .iter()
-                .map(|l| {
-                    let mut out = Vec::new();
-                    self.handle_line_into(l, &mut out);
-                    out
-                })
-                .collect();
-        }
-        enum Parsed<'a> {
-            Fast(FastRequest<'a>, FastEnvelope<'a>),
-            Tree(Result<Request, ProtocolError>, Envelope),
-        }
-        let parsed: Vec<Parsed> = lines
-            .iter()
-            .map(|l| {
-                if !self.wire_tree {
-                    if let Some((req, env)) = parse_request_fast(l) {
-                        return Parsed::Fast(req, env);
-                    }
-                }
-                let (req, env) = parse_request(l);
-                Parsed::Tree(req, env)
-            })
-            .collect();
-
-        // Group request indices by session; everything else (control
-        // ops, parse failures, opens of generated ids) is its own
-        // singleton group and free to run in parallel. Fast and
-        // tree-parsed requests for the same session land in the same
-        // group, preserving submission order between them.
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut by_session: HashMap<&str, usize> = HashMap::new();
-        for (i, p) in parsed.iter().enumerate() {
-            let session = match p {
-                Parsed::Fast(req, _) => req.session(),
-                Parsed::Tree(req, _) => req.as_ref().ok().and_then(session_of),
-            };
-            match session {
-                Some(session) => match by_session.get(session) {
-                    Some(&g) => groups[g].push(i),
-                    None => {
-                        by_session.insert(session, groups.len());
-                        groups.push(vec![i]);
-                    }
-                },
-                None => groups.push(vec![i]),
-            }
-        }
-
-        let answered: Vec<Vec<(usize, Vec<u8>)>> = foundation::par::par_map(groups, |group| {
-            group
-                .into_iter()
-                .map(|i| {
-                    // Sized for the common responses (decide/open/close
-                    // fit; a cores page grows once) so rendering doesn't
-                    // realloc its way up from empty.
-                    let mut out = Vec::with_capacity(256);
-                    match &parsed[i] {
-                        Parsed::Fast(req, env) => self.handle_fast(req, env, &mut out),
-                        Parsed::Tree(req, env) => {
-                            write_json(&mut out, &self.handle_parsed(req.clone(), env));
-                        }
-                    }
-                    (i, out)
-                })
-                .collect()
-        });
-        let mut out = vec![Vec::new(); lines.len()];
-        for (i, response) in answered.into_iter().flatten() {
-            out[i] = response;
-        }
-        out
     }
 
     /// The zero-copy sibling of [`Engine::handle_parsed`]: identical
@@ -1927,22 +1836,6 @@ impl Engine {
         }
         self.boot_warnings = warnings;
         Ok(self)
-    }
-}
-
-fn session_of(req: &Request) -> Option<&str> {
-    match req {
-        Request::Open {
-            session: Some(s), ..
-        } => Some(s),
-        Request::Decide { session, .. }
-        | Request::Retract { session, .. }
-        | Request::Eval { session }
-        | Request::SurvivingCores { session, .. }
-        | Request::Viable { session, .. }
-        | Request::Report { session }
-        | Request::Close { session } => Some(session),
-        _ => None,
     }
 }
 

@@ -22,10 +22,10 @@
 //!   request per line, one response per line, stable `DSL3xx` error
 //!   codes, optional `id` echo for pipelining clients.
 //! * [`Server`] — the TCP front on [`foundation::net`]: thread per
-//!   connection, pipelined requests batched through
-//!   [`Engine::handle_batch`] (independent sessions run in parallel on
-//!   [`foundation::par`]; per-session order is preserved), graceful
-//!   drain on `shutdown`.
+//!   connection with Nagle's algorithm off; a pipelined burst is
+//!   answered in request order on the connection's thread through
+//!   [`Engine::handle_line_into`] and written once, so parallelism is
+//!   per connection; graceful drain on `shutdown`.
 //! * [`guard`] — overload protection: connection and session caps with
 //!   structured `DSL309` refusals carrying `retry_after_ms`, idle
 //!   connection reaping, cooperative per-request deadlines

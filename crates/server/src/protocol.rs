@@ -461,23 +461,6 @@ pub enum FastRequest<'a> {
     Stats,
 }
 
-impl FastRequest<'_> {
-    /// The session a request targets, for batch grouping — mirrors the
-    /// engine's grouping of tree-parsed requests.
-    pub fn session(&self) -> Option<&str> {
-        match self {
-            FastRequest::Open { session, .. } => session.as_deref(),
-            FastRequest::Decide { session, .. }
-            | FastRequest::Retract { session, .. }
-            | FastRequest::Eval { session }
-            | FastRequest::SurvivingCores { session, .. }
-            | FastRequest::Viable { session, .. }
-            | FastRequest::Close { session } => Some(session),
-            FastRequest::Stats => None,
-        }
-    }
-}
-
 /// Accumulates fields during the single left-to-right scan. `*_seen`
 /// flags implement first-occurrence-wins for duplicate keys, matching
 /// `Json::get` on the tree path.
@@ -870,7 +853,6 @@ mod tests {
                 resume: true,
             }
         );
-        assert_eq!(req.session(), None);
     }
 
     #[test]

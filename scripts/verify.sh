@@ -15,6 +15,12 @@ cargo build --release --offline
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+echo "==> benchmark package tests: loadbench builds against the public dse-server API"
+# loadbench is its own Cargo workspace, so the workspace build above does
+# not compile it; removing an API it uses must fail here, not only when
+# the benchmark runs.
+cargo test --release --offline --manifest-path loadbench/Cargo.toml
+
 echo "==> cargo clippy --all-targets --offline -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 

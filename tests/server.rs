@@ -1,15 +1,17 @@
 //! The exploration daemon under load and under fire: parallel sessions
 //! against a single-threaded oracle, a thousand concurrently open
 //! journaled sessions, kill-and-recover with torn and corrupt journals,
-//! a seeded malformed-request fuzz, and a real TCP conversation with
-//! graceful drain.
+//! a seeded malformed-request fuzz, a real TCP conversation with
+//! graceful drain, and the connection's serving loop driven in memory.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
-use design_space_layer::dse_server::{Engine, EngineBuilder, Server};
+use design_space_layer::dse_server::daemon::{serve_connection, WRITE_AT};
+use design_space_layer::dse_server::{Engine, EngineBuilder, GuardConfig, Server};
 use design_space_layer::foundation::json::Json;
 use design_space_layer::foundation::net;
 use design_space_layer::foundation::rng::{Rng, SeedableRng, StdRng};
@@ -132,14 +134,18 @@ fn thousand_journaled_sessions_survive_a_kill() {
     let dir = temp_dir("thousand");
     let first = engine(Some(&dir));
 
-    // Open them all with interleaved traffic: handle_batch fans the
-    // distinct sessions out across the worker pool.
+    // Open them all with interleaved traffic, answered the way the
+    // daemon answers a pipelined burst: line by line, in order, into
+    // one reused reply buffer.
     let mut lines = Vec::new();
     for i in 0..SESSIONS {
         lines.extend(script(&format!("k{i:04}"), i));
     }
-    for response in first.handle_batch(&lines) {
-        ok(&response);
+    let mut out = Vec::new();
+    for line in &lines {
+        out.clear();
+        first.handle_line_into(line, &mut out);
+        ok(std::str::from_utf8(&out).expect("responses are UTF-8"));
     }
     assert_eq!(first.open_sessions(), SESSIONS);
 
@@ -485,4 +491,117 @@ fn surviving_cores_pages_never_exceed_the_line_cap() {
     ));
     assert_eq!(pruned.get("count").and_then(Json::as_i64), Some(1_450));
     assert_eq!(pruned.get("returned").and_then(Json::as_i64), Some(5));
+}
+
+/// A writer that keeps every `write` call apart, so a test can see how
+/// the serving loop split its output.
+#[derive(Default)]
+struct WriteLog {
+    writes: Vec<Vec<u8>>,
+}
+
+impl Write for WriteLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.push(buf.to_vec());
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs the daemon's serving loop over an in-memory burst.
+fn serve_in_memory(engine: &Engine, burst: &[u8]) -> WriteLog {
+    let mut reader = BufReader::with_capacity(burst.len().max(1), burst);
+    let mut log = WriteLog::default();
+    serve_connection(engine, &mut reader, &mut log, &AtomicBool::new(false));
+    log
+}
+
+#[test]
+fn burst_past_the_inflight_cap_sheds_in_request_order() {
+    let engine = EngineBuilder::new(Technology::g10_035())
+        .with_shipped_layers()
+        .guard(GuardConfig {
+            max_inflight_per_conn: 2,
+            ..GuardConfig::default()
+        })
+        .build()
+        .expect("engine builds");
+    let burst = concat!(
+        r#"{"op":"open","session":"s","snapshot":"crypto","id":1}"#, "\n",
+        r#"{"op":"decide","session":"s","name":"EOL","value":768,"id":"two"}"#, "\n",
+        r#"{"op":"decide","session":"s","name":"MaxLatencyUs","value":8.0,"id":3}"#, "\n",
+        r#"{"op":"report","session":"s","id":{"n":4}}"#, "\n",
+        r#"{"op":"close","session":"s"}"#, "\n",
+    );
+    // The bytes the daemon answered this burst with over TCP before the
+    // serving loop replaced the batch path: two answers, then three
+    // DSL309 refusals echoing their ids in request order.
+    let expected = concat!(
+        r#"{"ok":true,"id":1,"session":"s","snapshot":"crypto","focus":"Operator.Modular.Multiplier","recovered":false}"#, "\n",
+        r#"{"ok":true,"id":"two","name":"EOL","value":768,"focus":"Operator.Modular.Multiplier","open_issues":1}"#, "\n",
+        r#"{"ok":false,"id":3,"code":"DSL309","error":"batch limit reached (2 in flight on this connection)","retry_after_ms":200}"#, "\n",
+        r#"{"ok":false,"id":{"n":4},"code":"DSL309","error":"batch limit reached (2 in flight on this connection)","retry_after_ms":200}"#, "\n",
+        r#"{"ok":false,"code":"DSL309","error":"batch limit reached (2 in flight on this connection)","retry_after_ms":200}"#, "\n",
+    );
+    let log = serve_in_memory(&engine, burst.as_bytes());
+    assert_eq!(log.writes.len(), 1, "one burst is one write");
+    assert_eq!(String::from_utf8(log.writes.concat()).unwrap(), expected);
+    let stats = ok(&engine.handle_line(r#"{"op":"stats"}"#));
+    assert_eq!(
+        stats.get("guard").and_then(|g| g.get("overloaded")).and_then(Json::as_i64),
+        Some(3),
+        "every shed line counts as overloaded"
+    );
+}
+
+#[test]
+fn large_bursts_are_written_out_in_bounded_pieces() {
+    const LINES: usize = 256;
+    let burst = r#"{"op":"stats"}"#.to_owned() + "\n";
+    let burst = burst.repeat(LINES);
+    let log = serve_in_memory(&engine(None), burst.as_bytes());
+
+    // The oracle: a twin engine answering the same lines one at a time.
+    let twin = engine(None);
+    let mut one_at_a_time = Vec::new();
+    let mut longest = 0;
+    for _ in 0..LINES {
+        let reply = twin.handle_line(r#"{"op":"stats"}"#);
+        longest = longest.max(reply.len() + 1);
+        one_at_a_time.extend_from_slice(reply.as_bytes());
+        one_at_a_time.push(b'\n');
+    }
+    assert!(
+        log.writes.len() >= 2,
+        "{} bytes of replies went out in {} write(s)",
+        one_at_a_time.len(),
+        log.writes.len()
+    );
+    for w in &log.writes {
+        assert!(
+            w.len() <= WRITE_AT + longest,
+            "a {}-byte write exceeds {WRITE_AT} bytes plus one reply",
+            w.len()
+        );
+    }
+    assert_eq!(log.writes.concat(), one_at_a_time);
+}
+
+#[test]
+fn an_unframeable_line_mid_burst_ends_the_connection_after_earlier_replies() {
+    let engine = engine(None);
+    let mut burst = br#"{"op":"stats","id":1}"#.to_vec();
+    burst.extend_from_slice(b"\n{\"op\":\"st\xffats\"}\n");
+    burst.extend_from_slice(br#"{"op":"stats","id":3}"#);
+    burst.push(b'\n');
+    let log = serve_in_memory(&engine, &burst);
+    let out = String::from_utf8(log.writes.concat()).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert_eq!(ok(lines[0]).get("id").and_then(Json::as_i64), Some(1));
+    let refusal = Json::parse(lines[1]).unwrap();
+    assert_eq!(refusal.get("code").and_then(Json::as_str), Some("DSL301"), "{out}");
 }

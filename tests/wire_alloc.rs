@@ -16,14 +16,18 @@
 //! * a warm `decide` round-trip allocates only what the session core
 //!   needs: strictly fewer allocations than the tree-codec oracle for
 //!   the same request, and within a fixed small budget so codec
-//!   allocations cannot silently creep back in.
+//!   allocations cannot silently creep back in;
+//! * a warm pipelined burst of 32 `stats` lines through the daemon's
+//!   serving loop performs **zero** allocations: serving 1 burst and
+//!   serving 50 bursts cost exactly the same.
 //!
 //! The wire gate in `scripts/verify.sh` runs this suite at
 //! `DSE_THREADS=1` and `DSE_THREADS=8`; metered regions never cross the
 //! parallel pool, so the counts must hold at any pool size.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io::{self, BufReader, Read};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAllocator;
 
@@ -48,6 +52,24 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// A reader that yields one whole pipelined burst per `read`, as a
+/// client that writes each burst in one go would.
+struct Bursts<'a> {
+    burst: &'a [u8],
+    left: usize,
+}
+
+impl Read for Bursts<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.left == 0 {
+            return Ok(0);
+        }
+        self.left -= 1;
+        buf[..self.burst.len()].copy_from_slice(self.burst);
+        Ok(self.burst.len())
+    }
+}
+
 /// Allocations performed while running `f`.
 fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
@@ -57,6 +79,7 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 
 #[test]
 fn wire_codec_is_allocation_free_in_steady_state() {
+    use design_space_layer::dse_server::daemon::serve_connection;
     use design_space_layer::dse_server::protocol::parse_request_fast;
     use design_space_layer::dse_server::{engine::WIRE_ENGINE_ENV, EngineBuilder};
 
@@ -111,6 +134,37 @@ fn wire_codec_is_allocation_free_in_steady_state() {
     assert!(
         tree_stats_allocs > 0,
         "oracle sanity: the tree codec allocates on stats"
+    );
+
+    // -- a warm burst through the serving loop performs ZERO allocations
+    // The loop's line and reply buffers warm on the first burst, so any
+    // per-burst allocation shows up as a difference between 1 and 50
+    // bursts. The request counter is first pushed to five digits so
+    // later `stats` replies keep one length and the warm reply buffer
+    // never has to grow.
+    for _ in 0..10_000 {
+        out.clear();
+        fast.handle_line_into(r#"{"op":"stats"}"#, &mut out);
+    }
+    let burst = format!("{}\n", r#"{"op":"stats"}"#).repeat(32);
+    let serve_bursts = |n: usize| {
+        let mut reader = BufReader::new(Bursts {
+            burst: burst.as_bytes(),
+            left: n,
+        });
+        assert!(reader.capacity() >= burst.len(), "one burst per read");
+        let stop = AtomicBool::new(false);
+        let (allocs, ()) =
+            allocations_in(|| serve_connection(&fast, &mut reader, &mut io::sink(), &stop));
+        allocs
+    };
+    let one_burst = serve_bursts(1);
+    let fifty_bursts = serve_bursts(50);
+    assert_eq!(
+        one_burst,
+        fifty_bursts,
+        "serving 49 more warm bursts allocated {}× more",
+        fifty_bursts.saturating_sub(one_burst)
     );
 
     // -- a warm decide round-trip allocates only for the session core ----
