@@ -706,7 +706,10 @@ pub fn server() -> Harness {
 /// hard gate: a decide/retract re-solve must stay at least 10× faster
 /// than re-analyzing the space from scratch, or the suite panics.
 pub fn solve() -> Harness {
-    use dse::analyze::solve::Solver;
+    use std::sync::Arc;
+
+    use dse::analyze::solve::{Net, Solver};
+    use dse::expr::Bindings;
     use dse::analyze::{analyze_with_engine, DomainEngine};
     use dse_library::synthetic::{build_stress_layer, STRESS_SEED};
 
@@ -726,7 +729,7 @@ pub fn solve() -> Harness {
         .median_ns;
 
     // The incremental solver's setup cost: domains + watched-constraint
-    // index + the parallel initial fixpoint.
+    // index + the initial fixpoint.
     h.bench("solve/initial_fixpoint", || {
         black_box(Solver::for_space(black_box(&layer.space), layer.root));
     });
@@ -758,6 +761,36 @@ pub fn solve() -> Harness {
         black_box(c);
         conflicted.retract();
     });
+
+    // The daemon's `viable` rebuild after a focus move: the Fig. 13
+    // requirements at `Operator.Modular.Multiplier`, from scratch and
+    // over a prebuilt shared network. Sharing the network must make the
+    // rebuild at least 1.5× faster, or the suite panics.
+    let layer = crypto::build_layer().expect("crypto layer builds");
+    let mut fig13 = Bindings::new();
+    fig13.insert("EOL", Value::Int(1024));
+    fig13.insert("MaxLatencyUs", Value::Real(20.0));
+    fig13.insert("ModuloIsOdd", Value::from("Guaranteed"));
+    let uncached = h
+        .bench("solve/lookahead_rebuild", || {
+            black_box(Solver::with_bindings(
+                black_box(&layer.space),
+                layer.omm,
+                black_box(&fig13),
+            ));
+        })
+        .median_ns;
+    let net = Arc::new(Net::new(&layer.space, layer.omm));
+    let shared = h
+        .bench("solve/lookahead_rebuild_shared_net", || {
+            black_box(Solver::on_net(Arc::clone(&net), black_box(&fig13)));
+        })
+        .median_ns;
+    assert!(
+        shared * 1.5 <= uncached,
+        "a rebuild over a shared network must be ≥1.5× faster than one \
+         from scratch: {shared:.0} ns vs {uncached:.0} ns"
+    );
 
     h
 }

@@ -30,6 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::expr::{Bindings, CmpOp, Expr, Pred};
 use crate::hierarchy::{CdoId, DesignSpace};
@@ -800,8 +801,9 @@ pub(crate) fn survives_exact(
 /// One variable's current domain lattice value.
 #[derive(Debug, Clone, PartialEq)]
 enum Dom {
-    /// A finite candidate list with a liveness mask.
-    Finite { values: Vec<Value>, live: BitSet },
+    /// A finite candidate list with a liveness mask. The list is shared:
+    /// narrowing only ever touches the mask.
+    Finite { values: Arc<[Value]>, live: BitSet },
     /// Integers in `lo..=hi`.
     Int { lo: i64, hi: i64 },
     /// Reals in `[lo, hi]`.
@@ -816,14 +818,14 @@ enum Dom {
 
 impl Dom {
     fn of_domain(domain: &Domain) -> Dom {
-        if let Some(values) = domain.enumerate() {
+        if let Some(values) = domain.enumerate().map(Arc::<[Value]>::from) {
             let live = BitSet::full(values.len());
             return Dom::Finite { values, live };
         }
         match domain {
             Domain::IntRange { min, max } => {
                 if max.checked_sub(*min).is_some_and(|s| (0..=super::domains::MAX_INT_RANGE_SPAN).contains(&s)) {
-                    let values: Vec<Value> = (*min..=*max).map(Value::Int).collect();
+                    let values: Arc<[Value]> = (*min..=*max).map(Value::Int).collect();
                     let live = BitSet::full(values.len());
                     Dom::Finite { values, live }
                 } else {
@@ -875,15 +877,155 @@ struct Con {
     refs: Vec<usize>,
 }
 
-/// The immutable constraint network: variables, base domains, watched
-/// constraints and the var → constraints watch lists.
-#[derive(Debug, Clone)]
-struct Net {
+/// The immutable constraint network of one region (space, focus):
+/// variables, base domains, watched constraints and watch lists, plus
+/// the inherited-binding domains and constraint components every
+/// initial fixpoint starts from. No session state: [`Solver`]s on the
+/// region share one `Arc<Net>` and own only their domains and trail.
+#[derive(Debug)]
+pub struct Net {
     names: Vec<String>,
     index: HashMap<String, usize>,
     base: Vec<Dom>,
     cons: Vec<Con>,
     watchers: Vec<Vec<usize>>,
+    /// `base` narrowed by the region's inherited option bindings.
+    level0: Vec<Dom>,
+    /// The first inherited binding outside its variable's domain.
+    level0_conflict: Option<RawConflict>,
+    /// Reference-free constraints, in constraint order.
+    free: Vec<usize>,
+    /// Variable-disjoint constraint components, in constraint order.
+    components: Vec<Vec<usize>>,
+}
+
+impl Net {
+    /// Builds the network for the region at `focus`: every property
+    /// visible from it plus every effective inconsistency/dominance
+    /// predicate.
+    pub fn new(space: &DesignSpace, focus: CdoId) -> Net {
+        let mut names: Vec<String> = Vec::new();
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut base: Vec<Dom> = Vec::new();
+        let mut add_var = |name: &str, dom: Dom, names: &mut Vec<String>, base: &mut Vec<Dom>| {
+            if let Some(&i) = index.get(name) {
+                return i;
+            }
+            let i = names.len();
+            names.push(name.to_owned());
+            index.insert(name.to_owned(), i);
+            base.push(dom);
+            i
+        };
+        // Every property visible from `focus` (inheritance chain plus
+        // subtree), in deterministic scope order.
+        for n in super::scope_nodes(space, focus) {
+            for p in space.node(n).own_properties() {
+                let dom = super::domain_at(space, focus, p.name())
+                    .map(Dom::of_domain)
+                    .unwrap_or(Dom::Open);
+                add_var(p.name(), dom, &mut names, &mut base);
+            }
+        }
+        // Watched constraints: every effective inconsistency/dominance
+        // predicate. References to undeclared names (derived figures
+        // bound mid-session) become open variables — never pruned.
+        let mut cons: Vec<Con> = Vec::new();
+        for (_, c) in space.effective_constraints(focus) {
+            let Some(pred) = super::constraint_pred(c) else {
+                continue;
+            };
+            let refs: Vec<usize> = pred
+                .references()
+                .into_iter()
+                .map(|r| add_var(&r, Dom::Open, &mut names, &mut base))
+                .collect();
+            cons.push(Con {
+                name: c.name().to_owned(),
+                pred: pred.clone(),
+                refs,
+            });
+        }
+        let mut watchers: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
+        for (ci, con) in cons.iter().enumerate() {
+            for &v in &con.refs {
+                if !watchers[v].contains(&ci) {
+                    watchers[v].push(ci);
+                }
+            }
+        }
+        let mut level0 = base.clone();
+        let mut level0_conflict = None;
+        for (name, value) in space.inherited_bindings(focus) {
+            level0_conflict = level0_conflict.or(narrow(&index, &mut level0, &name, &value));
+        }
+        // Union-find over variables, joined through each constraint's
+        // refs, splits the constraints into variable-disjoint components.
+        let mut parent: Vec<usize> = (0..names.len()).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
+            }
+            x
+        }
+        for con in &cons {
+            let mut it = con.refs.iter();
+            if let Some(&first) = it.next() {
+                let r = find(&mut parent, first);
+                for &v in it {
+                    let s = find(&mut parent, v);
+                    parent[s] = r;
+                }
+            }
+        }
+        // Group constraints by component root, in first-seen order.
+        let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
+        let mut free: Vec<usize> = Vec::new();
+        let mut components: Vec<Vec<usize>> = Vec::new();
+        for (ci, con) in cons.iter().enumerate() {
+            match con.refs.first() {
+                Some(&v) => {
+                    let root = find(&mut parent, v);
+                    let slot = *comp_of_root.entry(root).or_insert_with(|| {
+                        components.push(Vec::new());
+                        components.len() - 1
+                    });
+                    components[slot].push(ci);
+                }
+                None => free.push(ci),
+            }
+        }
+        Net {
+            names,
+            index,
+            base,
+            cons,
+            watchers,
+            level0,
+            level0_conflict,
+            free,
+            components,
+        }
+    }
+}
+
+/// Level-0 narrowing of `name` to `value`: fixes the variable, or
+/// empties it when `value` lies outside its current domain. Unknown
+/// names are ignored.
+fn narrow(
+    index: &HashMap<String, usize>,
+    doms: &mut [Dom],
+    name: &str,
+    value: &Value,
+) -> Option<RawConflict> {
+    let &v = index.get(name)?;
+    if !doms[v].contains(value) {
+        doms[v] = Dom::Empty;
+        return Some(RawConflict::Incompatible { var: v });
+    }
+    doms[v] = Dom::Fixed(value.clone());
+    None
 }
 
 struct DomView<'a> {
@@ -987,14 +1129,14 @@ pub enum Viability {
 
 /// Incremental propagation solver over one region of a design space.
 ///
-/// Built once per session/region ([`Solver::for_space`] /
-/// [`Solver::with_bindings`]); each [`decide`](Solver::decide) pushes a
-/// trail level and re-propagates only from the changed variable, each
-/// [`retract`](Solver::retract) pops the level in O(trailed changes) —
-/// no full re-scan.
+/// Built once per session/region ([`Solver::for_space`],
+/// [`Solver::with_bindings`] or [`Solver::on_net`]); each
+/// [`decide`](Solver::decide) pushes a trail level and re-propagates
+/// only from the changed variable, each [`retract`](Solver::retract)
+/// pops the level in O(trailed changes) — no full re-scan.
 #[derive(Debug, Clone)]
 pub struct Solver {
-    net: Net,
+    net: Arc<Net>,
     doms: Vec<Dom>,
     trail: Vec<Change>,
     levels: Vec<usize>,
@@ -1004,10 +1146,9 @@ pub struct Solver {
 
 impl Solver {
     /// Builds the network for the region at `focus` and runs the
-    /// initial propagation fixpoint, parallelized across independent
-    /// constraint components on [`foundation::par`].
+    /// initial propagation fixpoint.
     pub fn for_space(space: &DesignSpace, focus: CdoId) -> Solver {
-        Solver::build(space, focus, None)
+        Solver::with_bindings(space, focus, &Bindings::new())
     }
 
     /// Like [`for_space`](Solver::for_space), but additionally narrows
@@ -1015,105 +1156,22 @@ impl Solver {
     /// initial fixpoint — the from-scratch equivalent of replaying
     /// every decision.
     pub fn with_bindings(space: &DesignSpace, focus: CdoId, bindings: &Bindings) -> Solver {
-        Solver::build(space, focus, Some(bindings))
+        Solver::on_net(Arc::new(Net::new(space, focus)), bindings)
     }
 
-    fn build(space: &DesignSpace, focus: CdoId, bindings: Option<&Bindings>) -> Solver {
-        let mut names: Vec<String> = Vec::new();
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut base: Vec<Dom> = Vec::new();
-        let mut add_var = |name: &str, dom: Dom, names: &mut Vec<String>, base: &mut Vec<Dom>| {
-            if let Some(&i) = index.get(name) {
-                return i;
-            }
-            let i = names.len();
-            names.push(name.to_owned());
-            index.insert(name.to_owned(), i);
-            base.push(dom);
-            i
-        };
-        // Every property visible from `focus` (inheritance chain plus
-        // subtree), in deterministic scope order.
-        for n in super::scope_nodes(space, focus) {
-            for p in space.node(n).own_properties() {
-                let dom = super::domain_at(space, focus, p.name())
-                    .map(Dom::of_domain)
-                    .unwrap_or(Dom::Open);
-                add_var(p.name(), dom, &mut names, &mut base);
-            }
-        }
-        // Watched constraints: every effective inconsistency/dominance
-        // predicate. References to undeclared names (derived figures
-        // bound mid-session) become open variables — never pruned.
-        let mut cons: Vec<Con> = Vec::new();
-        for (_, c) in space.effective_constraints(focus) {
-            let Some(pred) = super::constraint_pred(c) else {
-                continue;
-            };
-            let refs: Vec<usize> = pred
-                .references()
-                .into_iter()
-                .map(|r| add_var(&r, Dom::Open, &mut names, &mut base))
-                .collect();
-            cons.push(Con {
-                name: c.name().to_owned(),
-                pred: pred.clone(),
-                refs,
-            });
-        }
-        let mut watchers: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        for (ci, con) in cons.iter().enumerate() {
-            for &v in &con.refs {
-                if !watchers[v].contains(&ci) {
-                    watchers[v].push(ci);
-                }
-            }
-        }
-        let net = Net {
-            names,
-            index,
-            base,
-            cons,
-            watchers,
-        };
-        let mut doms = net.base.clone();
+    /// [`with_bindings`](Solver::with_bindings) over a shared, already
+    /// built network: only the domains are built and solved.
+    pub fn on_net(net: Arc<Net>, bindings: &Bindings) -> Solver {
+        let mut doms = net.level0.clone();
         let mut totals = SolveTotals::default();
-        let mut raw: Option<RawConflict> = None;
-
-        // Level-0 narrowing: the region's inherited option bindings,
-        // then the session bindings, in deterministic order.
-        let narrow = |name: &str, value: &Value, doms: &mut Vec<Dom>| {
-            let &v = net.index.get(name)?;
-            if !doms[v].contains(value) {
-                doms[v] = Dom::Empty;
-                return Some(RawConflict::Incompatible { var: v });
-            }
-            doms[v] = Dom::Fixed(value.clone());
-            None
-        };
-        for (name, value) in space.inherited_bindings(focus) {
-            if raw.is_none() {
-                raw = narrow(&name, &value, &mut doms);
-            } else {
-                narrow(&name, &value, &mut doms);
-            }
+        // Inherited conflicts come before session ones.
+        let mut raw = net.level0_conflict;
+        for (name, value) in bindings.iter() {
+            raw = raw.or(narrow(&net.index, &mut doms, name.as_str(), value));
         }
-        if let Some(b) = bindings {
-            for (name, value) in b.iter() {
-                let c = narrow(name.as_str(), value, &mut doms);
-                if raw.is_none() {
-                    raw = c;
-                }
-            }
-        }
-
-        // Initial fixpoint, parallel across independent constraint
-        // components (var-disjoint by construction, so the merge in
-        // component order is deterministic).
         if raw.is_none() {
             raw = initial_fixpoint(&net, &mut doms, &mut totals);
         }
-
         let mut solver = Solver {
             net,
             doms,
@@ -1493,85 +1551,22 @@ fn fixpoint(
     None
 }
 
-/// The initial fixpoint, fanned out across independent constraint
-/// components (connected via shared variables). Each component only
-/// ever writes its own variables, so merging the narrowed domains in
-/// component order is deterministic regardless of `DSE_THREADS`; the
-/// first conflict in component order wins.
-fn initial_fixpoint(
-    net: &Net,
-    doms: &mut Vec<Dom>,
-    totals: &mut SolveTotals,
-) -> Option<RawConflict> {
-    if net.cons.is_empty() {
-        return None;
-    }
-    // Union-find over variables, joined through each constraint's refs.
-    let mut parent: Vec<usize> = (0..net.names.len()).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for con in &net.cons {
-        let mut it = con.refs.iter();
-        if let Some(&first) = it.next() {
-            let r = find(&mut parent, first);
-            for &v in it {
-                let s = find(&mut parent, v);
-                parent[s] = r;
-            }
+/// The initial fixpoint: the reference-free constraints first, then
+/// each of the network's independent components to its own fixpoint,
+/// in order, in place. Components share no variable, so each sees
+/// exactly the domains it would see alone; every component runs even
+/// after a conflict, and the first conflict in component order wins.
+fn initial_fixpoint(net: &Net, doms: &mut [Dom], totals: &mut SolveTotals) -> Option<RawConflict> {
+    for &ci in &net.free {
+        totals.propagations += 1;
+        if eval3(&net.cons[ci].pred, &DomView { net, doms }) == T {
+            totals.conflicts += 1;
+            return Some(RawConflict::Fires(ci));
         }
     }
-    // Group constraints by component root, in first-seen order.
-    let mut comp_of_root: HashMap<usize, usize> = HashMap::new();
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    for (ci, con) in net.cons.iter().enumerate() {
-        match con.refs.first() {
-            Some(&v) => {
-                let root = find(&mut parent, v);
-                let slot = *comp_of_root.entry(root).or_insert_with(|| {
-                    components.push(Vec::new());
-                    components.len() - 1
-                });
-                components[slot].push(ci);
-            }
-            None => {
-                // Reference-free predicate: evaluate in place.
-                totals.propagations += 1;
-                let view = DomView { net, doms };
-                if eval3(&con.pred, &view) == T {
-                    totals.conflicts += 1;
-                    return Some(RawConflict::Fires(ci));
-                }
-            }
-        }
-    }
-    if components.is_empty() {
-        return None;
-    }
-    let snapshot: &[Dom] = doms;
-    type ComponentResult = (Vec<(usize, Dom)>, SolveTotals, Option<RawConflict>);
-    let results: Vec<ComponentResult> =
-        foundation::par::par_map(components, |cons| {
-            let mut local: Vec<Dom> = snapshot.to_vec();
-            let mut local_totals = SolveTotals::default();
-            let raw = fixpoint(net, &mut local, &cons, None, &mut local_totals);
-            let changed: Vec<(usize, Dom)> = local
-                .into_iter()
-                .enumerate()
-                .filter(|(v, d)| snapshot[*v] != *d)
-                .collect();
-            (changed, local_totals, raw)
-        });
     let mut first: Option<RawConflict> = None;
-    for (changed, local_totals, raw) in results {
-        for (v, d) in changed {
-            doms[v] = d;
-        }
-        totals.add(&local_totals);
+    for component in &net.components {
+        let raw = fixpoint(net, doms, component, None, totals);
         if first.is_none() {
             first = raw;
         }

@@ -103,7 +103,7 @@ pub mod prelude {
         analyze, analyze_detailed, analyze_with_engine, evaluation_order, Analysis,
         DerivationGraph, DomainEngine,
     };
-    pub use crate::analyze::solve::{Conflict, Solver, SolveTotals, Viability};
+    pub use crate::analyze::solve::{Conflict, Net, Solver, SolveTotals, Viability};
     pub use crate::behavior::{BehavioralDescription, OperandCoding, OperatorUse};
     pub use crate::constraint::{ConsistencyConstraint, ConstraintOutcome, Relation};
     pub use crate::diag::{DiagCode, Diagnostic, Report, Severity, Span};

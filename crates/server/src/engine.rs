@@ -25,12 +25,13 @@ use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use dse::prelude::{
     CdoId, DesignSpace, DiagCode, DseError, EstimateCache, ExplorationSession, FaultPlan,
-    FaultRates, Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Property,
-    PropertyKind, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value, Viability,
+    FaultRates, Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Net,
+    Property, PropertyKind, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value,
+    Viability,
 };
 use dse_library::{
     load_all_layers, roster_from_indices, roster_indices, CoreStore, Explorer, ReuseLibrary,
@@ -104,6 +105,10 @@ pub struct Snapshot {
     /// hashed once at snapshot load instead of once per
     /// `surviving_cores` request.
     pub roster: Vec<(u32, u32)>,
+    /// One constraint network per CDO, built the first time a session's
+    /// `viable` needs that focus and shared by every rebuild after it.
+    /// Nothing is built at load; at most one network per focused CDO.
+    nets: Vec<OnceLock<Arc<Net>>>,
 }
 
 impl Snapshot {
@@ -117,6 +122,7 @@ impl Snapshot {
     ) -> Snapshot {
         let store = Arc::new(CoreStore::for_libraries(&[&library]));
         let roster = roster_indices(&[&library]);
+        let nets = (0..space.len()).map(|_| OnceLock::new()).collect();
         Snapshot {
             name: name.into(),
             title: title.into(),
@@ -125,7 +131,15 @@ impl Snapshot {
             library,
             store,
             roster,
+            nets,
         }
+    }
+
+    /// The constraint network of the region at `focus`, built on first
+    /// use.
+    fn net(&self, focus: CdoId) -> Arc<Net> {
+        let net = self.nets[focus.index()].get_or_init(|| Arc::new(Net::new(&self.space, focus)));
+        Arc::clone(net)
     }
 }
 
@@ -141,8 +155,9 @@ struct SessionSlot {
     /// next `open` that attaches to the slot.
     notes: Vec<String>,
     /// The propagation solver behind the `viable` op, built lazily on
-    /// first use and then kept in lock-step with decide/retract so each
-    /// query re-solves only the changed domains instead of rebuilding.
+    /// first use over the snapshot's shared network and then kept in
+    /// lock-step with decide/retract so each query re-solves only the
+    /// changed domains instead of rebuilding.
     lookahead: Option<LookaheadSlot>,
     /// Records in this session's journal file, maintained so the
     /// compaction trigger never stats the disk on the hot path.
@@ -1206,6 +1221,8 @@ impl Engine {
 
     fn op_eval_core(&self, id: &str, budget: Option<&Fuel>) -> Result<EvalOut, ProtocolError> {
         self.with_slot(id, |slot| {
+            // Cloned, not moved: a deadline that runs out mid-ladder
+            // returns early and must leave the slot's state untouched.
             let mut session =
                 ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
             session.absorb_derived();
@@ -1318,18 +1335,24 @@ impl Engine {
 
     fn op_viable_core(&self, id: &str, name: &str) -> Result<ViableOut, ProtocolError> {
         self.with_slot(id, |slot| {
-            let session = ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
+            // The lookahead only reads the session, so the state moves
+            // through it and back into the slot.
+            let session = ExplorationSession::resume(
+                &slot.snapshot.space,
+                std::mem::take(&mut slot.state),
+            );
             let rebuild = match &slot.lookahead {
                 Some(la) => la.focus != session.focus() || la.synced != session.log().len(),
                 None => true,
             };
             if rebuild {
                 slot.lookahead = Some(LookaheadSlot {
-                    solver: session.lookahead(),
+                    solver: Solver::on_net(slot.snapshot.net(session.focus()), session.bindings()),
                     synced: session.log().len(),
                     focus: session.focus(),
                 });
             }
+            slot.state = session.into_snapshot();
             let la = slot.lookahead.as_ref().expect("lookahead just ensured");
             Ok(ViableOut {
                 viable: la.solver.viable(name),
@@ -1340,8 +1363,12 @@ impl Engine {
 
     fn op_report(&self, id: &str) -> OpResult {
         self.with_slot(id, |slot| {
-            let session =
-                ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
+            // The report only reads the session, so the state moves
+            // through it and back into the slot.
+            let session = ExplorationSession::resume(
+                &slot.snapshot.space,
+                std::mem::take(&mut slot.state),
+            );
             let space = session.space();
 
             // Bindings and estimates are keyed by interned symbol, whose
@@ -1383,7 +1410,7 @@ impl Engine {
                         .collect(),
                 )
             };
-            Ok(vec![
+            let fields = vec![
                 ("session".to_owned(), Json::Str(id.to_owned())),
                 (
                     "snapshot".to_owned(),
@@ -1401,7 +1428,9 @@ impl Engine {
                 ),
                 ("open_issues".to_owned(), names(session.open_issues())),
                 ("estimates".to_owned(), Json::Object(estimates)),
-            ])
+            ];
+            slot.state = session.into_snapshot();
+            Ok(fields)
         })
     }
 

@@ -1,6 +1,8 @@
 //! Fixture tests for the static analyzer: every `DSL0xx` diagnostic code
 //! gets a space that triggers it and a near-miss that stays clean, plus
-//! seeded property tests over randomly generated spaces.
+//! seeded property tests over randomly generated spaces, and the checks
+//! that a lookahead solver over a shared network answers exactly as one
+//! built from scratch.
 //!
 //! (`DSL1xx` core-binding lints are exercised in `dse-library`'s
 //! `lint` module tests.)
@@ -828,4 +830,215 @@ fn oracle_gives_up_past_the_cap_where_propagation_proves() {
         ),
         "{prop}"
     );
+}
+
+// ------------------------------------------- shared-network lookahead
+
+/// The shipped layers plus the synthetic stress layer, each with the CDO
+/// sessions start at.
+fn lookahead_layers() -> Vec<(DesignSpace, CdoId)> {
+    use design_space_layer::dse_library::load_all_layers;
+    use design_space_layer::dse_library::synthetic::{build_stress_layer, STRESS_SEED};
+    use design_space_layer::techlib::Technology;
+    let mut layers: Vec<(DesignSpace, CdoId)> = load_all_layers(&Technology::g10_035())
+        .unwrap()
+        .into_iter()
+        .map(|l| (l.space, l.root))
+        .collect();
+    let stress = build_stress_layer(STRESS_SEED).unwrap();
+    layers.push((stress.space, stress.root));
+    layers
+}
+
+/// Every name a lookahead at `focus` can be asked about: the properties
+/// of every CDO, the names the region's constraints mention, and one
+/// name nobody declares.
+fn lookahead_names(space: &DesignSpace, focus: CdoId) -> Vec<String> {
+    let mut names = std::collections::BTreeSet::new();
+    for (_, node) in space.iter() {
+        names.extend(node.own_properties().iter().map(|p| p.name().to_owned()));
+    }
+    for (_, c) in space.effective_constraints(focus) {
+        names.extend(c.indep().iter().chain(c.dep()).cloned());
+    }
+    names.insert("NoSuchProperty".to_owned());
+    names.into_iter().collect()
+}
+
+/// One lookahead's answers as text: `viable` for every name, the
+/// initial conflict and the work counters.
+fn lookahead_answers(solver: &Solver, names: &[String]) -> String {
+    let viable: Vec<Viability> = names.iter().map(|n| solver.viable(n)).collect();
+    let conflict = solver.initial_conflict().map(ToString::to_string);
+    format!("{viable:?} {conflict:?} {:?}", solver.stats())
+}
+
+/// A random value for `p`: from its domain nine times in ten, otherwise
+/// a value no domain admits.
+fn random_value(g: &mut Gen, p: &Property) -> Option<Value> {
+    if g.usize_in(0, 9) == 0 {
+        return Some(Value::from("outside-every-domain"));
+    }
+    match p.domain() {
+        Domain::IntRange { min, max } => {
+            Some(Value::Int(g.i64_in(*min, (*max).min(min.saturating_add(64)))))
+        }
+        Domain::RealRange { min, max } if min.is_finite() && max.is_finite() => {
+            Some(Value::Real(g.f64_in(*min, *max)))
+        }
+        Domain::RealRange { .. } => Some(Value::Real(g.f64_in(0.0, 1000.0))),
+        d => d
+            .enumerate()
+            .filter(|options| !options.is_empty())
+            .map(|options| g.choose(&options).clone()),
+    }
+}
+
+/// A seeded decide/retract trail from `root`: each step enters a random
+/// open requirement or decides a random open issue (generalized issues
+/// move the focus down; rejected decisions change nothing), or undoes
+/// the last decision (moving the focus back up). After every step
+/// `probe` gets the focus with the session's bindings, then with those
+/// plus one random extra binding.
+fn lookahead_trail(
+    g: &mut Gen,
+    space: &DesignSpace,
+    root: CdoId,
+    steps: usize,
+    mut probe: impl FnMut(CdoId, &Bindings),
+) {
+    let mut session = ExplorationSession::new(space, root);
+    for _ in 0..steps {
+        if !session.log().is_empty() && g.usize_in(0, 3) == 0 {
+            session.undo().unwrap();
+        } else {
+            let open: Vec<(&Property, bool)> = session
+                .open_issues()
+                .into_iter()
+                .map(|p| (p, false))
+                .chain(session.open_requirements().into_iter().map(|p| (p, true)))
+                .collect();
+            // Half the time, prefer a generalized issue: focus moves
+            // are what a rebuild has to get right.
+            let generalized: Vec<(&Property, bool)> = open
+                .iter()
+                .copied()
+                .filter(|(p, _)| p.kind() == PropertyKind::GeneralizedIssue)
+                .collect();
+            let open = if !generalized.is_empty() && g.bool() { generalized } else { open };
+            if !open.is_empty() {
+                let (p, requirement) = *g.choose(&open);
+                if let Some(v) = random_value(g, p) {
+                    let _ = if requirement {
+                        session.set_requirement(p.name(), v)
+                    } else {
+                        session.decide(p.name(), v)
+                    };
+                }
+            }
+        }
+        probe(session.focus(), session.bindings());
+        let mut extra = session.bindings().clone();
+        let visible = space.effective_properties(session.focus());
+        if !visible.is_empty() {
+            let (_, p) = *g.choose(&visible);
+            if let Some(v) = random_value(g, p) {
+                extra.insert(p.name(), v);
+            }
+        }
+        probe(session.focus(), &extra);
+    }
+}
+
+/// The layers plus `n` random enumerable spaces from `g`, whose
+/// constraints often conflict under propagation.
+fn lookahead_spaces(g: &mut Gen, n: usize) -> Vec<(DesignSpace, CdoId)> {
+    let mut spaces = lookahead_layers();
+    for _ in 0..n {
+        let space = random_enumerable_space(g);
+        let root = space.roots()[0];
+        spaces.push((space, root));
+    }
+    spaces
+}
+
+/// FNV-1a over the from-scratch lookahead answers of eight fixed-seed
+/// trails on every layer and on sixteen fixed random spaces.
+fn lookahead_digest() -> u64 {
+    let layers = lookahead_spaces(&mut Gen::new(0xD16E57), 16);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for seed in 0..8u64 {
+        let mut g = Gen::new(seed);
+        for (space, root) in &layers {
+            lookahead_trail(&mut g, space, *root, 16, |focus, bindings| {
+                let names = lookahead_names(space, focus);
+                let answers =
+                    lookahead_answers(&Solver::with_bindings(space, focus, bindings), &names);
+                for b in answers.bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            });
+        }
+    }
+    h
+}
+
+#[test]
+fn property_lookahead_over_a_shared_network_matches_a_fresh_build() {
+    use design_space_layer::foundation::par::with_thread_limit;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    check::run_n("lookahead over a shared network == fresh build", 16, |g| {
+        let layers = lookahead_spaces(g, 4);
+        let seed = g.u64();
+        let transcripts: Vec<String> = [1, 8]
+            .into_iter()
+            .map(|threads| {
+                with_thread_limit(threads, || {
+                    let mut g = Gen::new(seed);
+                    let mut transcript = String::new();
+                    for (space, root) in &layers {
+                        // One network per focus, reused for the whole
+                        // trail, as a served snapshot does.
+                        let mut nets: HashMap<CdoId, Arc<Net>> = HashMap::new();
+                        lookahead_trail(&mut g, space, *root, 16, |focus, bindings| {
+                            let names = lookahead_names(space, focus);
+                            let net = nets
+                                .entry(focus)
+                                .or_insert_with(|| Arc::new(Net::new(space, focus)));
+                            let shared =
+                                lookahead_answers(&Solver::on_net(Arc::clone(net), bindings), &names);
+                            let fresh = lookahead_answers(
+                                &Solver::with_bindings(space, focus, bindings),
+                                &names,
+                            );
+                            assert_eq!(
+                                shared,
+                                fresh,
+                                "{} at {} with {bindings:?}",
+                                space.name(),
+                                space.path_string(focus)
+                            );
+                            transcript.push_str(&fresh);
+                            transcript.push('\n');
+                        });
+                    }
+                    transcript
+                })
+            })
+            .collect();
+        assert_eq!(transcripts[0], transcripts[1], "DSE_THREADS=8 changed a lookahead");
+    });
+}
+
+/// The digest was recorded when the initial fixpoint still fanned its
+/// components out on the worker pool (it read the same at 1, 2 and 8
+/// threads). The in-place fixpoint must reproduce those domains, work
+/// counters and conflict texts exactly.
+#[test]
+fn lookahead_answers_match_the_recorded_digest() {
+    use design_space_layer::foundation::par::with_thread_limit;
+    for threads in [1, 8] {
+        assert_eq!(with_thread_limit(threads, lookahead_digest), 0x8a61_e3d6_5628_c72c);
+    }
 }
