@@ -805,138 +805,42 @@ fn answer_burst(engine: &dse_server::Engine, lines: &[String], out: &mut Vec<u8>
     }
 }
 
-/// Median of paired tree/fast timing ratios.
+/// The daemon's request pipeline, in process: decode, dispatch and
+/// render through `Engine::handle_line_into` into one reused buffer.
 ///
-/// Each round times the two closures back to back, so host-speed drift
-/// (or allocator-state drift from suites that ran earlier in the
-/// process) hits both sides of every ratio equally and cancels out —
-/// unlike comparing two whole `Harness::bench` windows taken minutes
-/// apart, whose ratio wobbles with whatever the box was doing between
-/// them.
-fn paired_ratio(
-    rounds: usize,
-    inner: u32,
-    mut tree_side: impl FnMut(),
-    mut fast_side: impl FnMut(),
-) -> f64 {
-    let mut ratios = Vec::with_capacity(rounds);
-    for _ in 0..rounds {
-        let t = std::time::Instant::now();
-        for _ in 0..inner {
-            tree_side();
-        }
-        let tree_ns = t.elapsed().as_nanos() as f64;
-        let t = std::time::Instant::now();
-        for _ in 0..inner {
-            fast_side();
-        }
-        let fast_ns = t.elapsed().as_nanos() as f64;
-        ratios.push(tree_ns / fast_ns.max(1.0));
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("ratios are finite"));
-    ratios[rounds / 2]
-}
-
-/// The zero-copy wire path against its own tree-codec oracle.
-///
-/// Two engines serve identical request streams: one built with
-/// `DSE_WIRE_ENGINE=tree` (the original parse-to-`Json`-tree path, kept
-/// as the differential oracle) and one on the default borrowed
-/// reader/writer path. The suite is its own gate, calibrated to what
-/// each shape can actually hold: the `stats` round-trip is pure codec,
-/// so the fast path must win ≥2× there (it measures 3–5×); the decide
-/// round-trip shares the session core between both sides but must still
-/// win ≥1.15×; and the 32-session batch is dominated by session work
-/// (solver, resume, rendering shared by both paths), so the codec win
-/// is diluted (its `Harness` medians read ~2×) and is gated at ≥1.3×. The gates assert on
-/// paired interleaved rounds (see [`paired_ratio`]), not on the
-/// reported `Harness` medians, so they hold under host noise.
+/// Three shapes: the `stats` round-trip (pure codec), a decide
+/// round-trip on a live session (the hot interactive op) and a
+/// 32-session pipelined batch answered the way the daemon answers a
+/// burst. The row names keep their `_fast` suffix so `baseline
+/// --compare` stays continuous with earlier baselines.
 pub fn wire() -> Harness {
-    use dse_server::engine::WIRE_ENGINE_ENV;
     use dse_server::EngineBuilder;
 
     let mut h = Harness::new("wire");
-    let tech = Technology::g10_035();
-    // `wire_tree` is latched when the engine is built, so flipping the
-    // env var around construction gives two engines on the two paths
-    // regardless of what the surrounding process has exported.
-    std::env::set_var(WIRE_ENGINE_ENV, "tree");
-    let tree = EngineBuilder::new(tech.clone())
-        .with_shipped_layers()
-        .build()
-        .expect("engine builds");
-    std::env::remove_var(WIRE_ENGINE_ENV);
-    let fast = EngineBuilder::new(tech)
+    let engine = EngineBuilder::new(Technology::g10_035())
         .with_shipped_layers()
         .build()
         .expect("engine builds");
 
-    // The cheapest op, end to end: parse + route + render. The fast
-    // path renders straight into the reused buffer; the tree path
-    // builds and serializes the full `Json` response tree.
+    // The cheapest op, end to end: decode + route + render.
     let mut out = Vec::new();
-    h.bench("wire/stats_roundtrip_tree", || {
-        black_box(tree.handle_line_tree(black_box(r#"{"op":"stats"}"#)));
-    });
     h.bench("wire/stats_roundtrip_fast", || {
         out.clear();
-        fast.handle_line_into(black_box(r#"{"op":"stats"}"#), &mut out);
+        engine.handle_line_into(black_box(r#"{"op":"stats"}"#), &mut out);
         black_box(&out);
     });
-    let stats_ratio = paired_ratio(
-        9,
-        2000,
-        || {
-            black_box(tree.handle_line_tree(black_box(r#"{"op":"stats"}"#)));
-        },
-        || {
-            out.clear();
-            fast.handle_line_into(black_box(r#"{"op":"stats"}"#), &mut out);
-            black_box(&out);
-        },
-    );
-    assert!(
-        stats_ratio >= 2.0,
-        "borrowed wire path must hold a ≥2× paired-median win on the \
-         stats round-trip: measured {stats_ratio:.2}×"
-    );
 
     // A decide round-trip on a live session: the hot interactive op.
-    // Session work (resume, solver, journalless append) is identical on
-    // both paths, so the delta is pure codec.
-    for engine in [&tree, &fast] {
-        engine.handle_line(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
-    }
+    engine.handle_line(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
     let decide = r#"{"op":"decide","session":"w","name":"EOL","value":768}"#;
-    h.bench("wire/decide_roundtrip_tree", || {
-        black_box(tree.handle_line_tree(black_box(decide)));
-    });
     h.bench("wire/decide_roundtrip_fast", || {
         out.clear();
-        fast.handle_line_into(black_box(decide), &mut out);
+        engine.handle_line_into(black_box(decide), &mut out);
         black_box(&out);
     });
-    let decide_ratio = paired_ratio(
-        9,
-        500,
-        || {
-            black_box(tree.handle_line_tree(black_box(decide)));
-        },
-        || {
-            out.clear();
-            fast.handle_line_into(black_box(decide), &mut out);
-            black_box(&out);
-        },
-    );
-    assert!(
-        decide_ratio >= 1.15,
-        "borrowed wire path must win the decide round-trip even though \
-         the session core is shared: paired ratio {decide_ratio:.2}×"
-    );
 
     // 32 interleaved sessions in one pipelined batch — the same shape
-    // the baseline tracks as `server/batch_32_sessions`, here run on
-    // both paths the way the daemon answers a burst.
+    // the baseline tracks as `server/batch_32_sessions`.
     let conversation = |id: &str| -> Vec<String> {
         vec![
             format!(r#"{{"op":"open","session":"{id}","snapshot":"crypto"}}"#),
@@ -954,36 +858,10 @@ pub fn wire() -> Harness {
             .flat_map(|r| scripts.iter().filter_map(move |s| s.get(r).cloned()))
             .collect()
     };
-    let mut tree_out = Vec::new();
-    h.bench("wire/batch_32_sessions_tree", || {
-        answer_burst(&tree, black_box(&batch), &mut tree_out);
-        black_box(&tree_out);
-    });
     h.bench("wire/batch_32_sessions_fast", || {
-        answer_burst(&fast, black_box(&batch), &mut out);
+        answer_burst(&engine, black_box(&batch), &mut out);
         black_box(&out);
     });
-    let batch_ratio = paired_ratio(
-        9,
-        4,
-        || {
-            answer_burst(&tree, black_box(&batch), &mut tree_out);
-            black_box(&tree_out);
-        },
-        || {
-            answer_burst(&fast, black_box(&batch), &mut out);
-            black_box(&out);
-        },
-    );
-    // The batch is session-core-bound: both sides pay the same solver,
-    // resume, and render work per request, so the codec delta is
-    // diluted here. Gate at the floor of what that holds across
-    // allocator/host states.
-    assert!(
-        batch_ratio >= 1.3,
-        "borrowed wire path must hold a ≥1.3× paired-median win on the \
-         32-session batch: measured {batch_ratio:.2}×"
-    );
 
     h
 }

@@ -1141,6 +1141,7 @@ pub struct Solver {
     trail: Vec<Change>,
     levels: Vec<usize>,
     totals: SolveTotals,
+    buffers: Buffers,
     initial_conflict: Option<Conflict>,
 }
 
@@ -1164,13 +1165,14 @@ impl Solver {
     pub fn on_net(net: Arc<Net>, bindings: &Bindings) -> Solver {
         let mut doms = net.level0.clone();
         let mut totals = SolveTotals::default();
+        let mut buffers = Buffers::default();
         // Inherited conflicts come before session ones.
         let mut raw = net.level0_conflict;
         for (name, value) in bindings.iter() {
             raw = raw.or(narrow(&net.index, &mut doms, name.as_str(), value));
         }
         if raw.is_none() {
-            raw = initial_fixpoint(&net, &mut doms, &mut totals);
+            raw = initial_fixpoint(&net, &mut doms, &mut totals, &mut buffers);
         }
         let mut solver = Solver {
             net,
@@ -1178,6 +1180,7 @@ impl Solver {
             trail: Vec::new(),
             levels: Vec::new(),
             totals,
+            buffers,
             initial_conflict: None,
         };
         solver.initial_conflict = raw.map(|r| solver.explain(r));
@@ -1201,14 +1204,14 @@ impl Solver {
         }
         self.trail.push(Change { var: v, old });
         self.doms[v] = Dom::Fixed(value.clone());
-        let seed: Vec<usize> = self.net.watchers[v].clone();
         let mut totals = SolveTotals::default();
         let raw = fixpoint(
             &self.net,
             &mut self.doms,
-            &seed,
+            &self.net.watchers[v],
             Some(&mut self.trail),
             &mut totals,
+            &mut self.buffers,
         );
         self.totals.add(&totals);
         raw.map(|r| self.explain(r))
@@ -1390,14 +1393,16 @@ impl Solver {
 
 /// Runs one revision of constraint `ci`: proves a definite fire, or
 /// prunes candidate values / shaves interval bounds whose assignment
-/// would force the constraint to fire on every completion.
+/// would force the constraint to fire on every completion. The
+/// variables it narrowed are pushed onto `changed`.
 fn revise(
     net: &Net,
     doms: &mut [Dom],
     ci: usize,
     trail: &mut Option<&mut Vec<Change>>,
     totals: &mut SolveTotals,
-) -> Result<Vec<usize>, RawConflict> {
+    changed: &mut Vec<usize>,
+) -> Result<(), RawConflict> {
     let con = &net.cons[ci];
     totals.propagations += 1;
     let s = {
@@ -1410,16 +1415,17 @@ fn revise(
     }
     if s & T == 0 {
         // Can never fire: nothing to prune.
-        return Ok(Vec::new());
+        return Ok(());
     }
-    let mut changed: Vec<usize> = Vec::new();
     for &v in &con.refs {
-        let current = doms[v].clone();
         let name = &net.names[v];
-        match current {
+        // Moved out while probing: every probe overrides `v` by name, so
+        // nothing reads its slot until it is put back. The placeholder
+        // is also what an emptied domain becomes.
+        match std::mem::replace(&mut doms[v], Dom::Empty) {
             Dom::Finite { values, live } => {
-                let mut new_live = live.clone();
-                let mut removed = false;
+                // Copied only once a value is actually pruned.
+                let mut new_live: Option<BitSet> = None;
                 for i in live.iter() {
                     totals.propagations += 1;
                     let probe = OverrideView {
@@ -1428,24 +1434,23 @@ fn revise(
                         val: &values[i],
                     };
                     if eval3(&con.pred, &probe) == T {
-                        new_live.clear(i);
-                        removed = true;
+                        new_live.get_or_insert_with(|| live.clone()).clear(i);
                     }
                 }
-                if !removed {
+                let Some(new_live) = new_live else {
+                    doms[v] = Dom::Finite { values, live };
                     continue;
-                }
+                };
                 if let Some(t) = trail.as_deref_mut() {
                     t.push(Change {
                         var: v,
                         old: Dom::Finite {
-                            values: values.clone(),
+                            values: Arc::clone(&values),
                             live,
                         },
                     });
                 }
                 if new_live.count() == 0 {
-                    doms[v] = Dom::Empty;
                     totals.conflicts += 1;
                     return Err(RawConflict::Emptied { var: v, con: ci });
                 }
@@ -1490,6 +1495,7 @@ fn revise(
                     }
                 }
                 if (lo2, hi2) == (lo, hi) {
+                    doms[v] = Dom::Int { lo, hi };
                     continue;
                 }
                 if let Some(t) = trail.as_deref_mut() {
@@ -1499,7 +1505,6 @@ fn revise(
                     });
                 }
                 if lo2 > hi2 {
-                    doms[v] = Dom::Empty;
                     totals.conflicts += 1;
                     return Err(RawConflict::Emptied { var: v, con: ci });
                 }
@@ -1509,10 +1514,20 @@ fn revise(
             // Fixed values cannot be pruned (a forced fire surfaces as
             // `Fires` above); real intervals and open/empty domains are
             // left alone.
-            Dom::Fixed(_) | Dom::Real { .. } | Dom::Open | Dom::Empty => {}
+            other => doms[v] = other,
         }
     }
-    Ok(changed)
+    Ok(())
+}
+
+/// Propagation buffers reused across fixpoints, so a warm solver's
+/// decide allocates none. Between fixpoints the queue is empty and no
+/// `in_queue` flag is set.
+#[derive(Debug, Clone, Default)]
+struct Buffers {
+    queue: VecDeque<usize>,
+    in_queue: Vec<bool>,
+    changed: Vec<usize>,
 }
 
 /// Drains a propagation queue seeded with `seed` to fixpoint.
@@ -1522,9 +1537,14 @@ fn fixpoint(
     seed: &[usize],
     mut trail: Option<&mut Vec<Change>>,
     totals: &mut SolveTotals,
+    buffers: &mut Buffers,
 ) -> Option<RawConflict> {
-    let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut in_queue = vec![false; net.cons.len()];
+    let Buffers {
+        queue,
+        in_queue,
+        changed,
+    } = buffers;
+    in_queue.resize(net.cons.len(), false);
     for &ci in seed {
         if !in_queue[ci] {
             in_queue[ci] = true;
@@ -1534,16 +1554,18 @@ fn fixpoint(
     while let Some(ci) = queue.pop_front() {
         in_queue[ci] = false;
         totals.fixpoint_iterations += 1;
-        match revise(net, doms, ci, &mut trail, totals) {
-            Err(raw) => return Some(raw),
-            Ok(changed) => {
-                for v in changed {
-                    for &w in &net.watchers[v] {
-                        if w != ci && !in_queue[w] {
-                            in_queue[w] = true;
-                            queue.push_back(w);
-                        }
-                    }
+        changed.clear();
+        if let Err(raw) = revise(net, doms, ci, &mut trail, totals, changed) {
+            for ci in queue.drain(..) {
+                in_queue[ci] = false;
+            }
+            return Some(raw);
+        }
+        for &v in changed.iter() {
+            for &w in &net.watchers[v] {
+                if w != ci && !in_queue[w] {
+                    in_queue[w] = true;
+                    queue.push_back(w);
                 }
             }
         }
@@ -1556,7 +1578,12 @@ fn fixpoint(
 /// in order, in place. Components share no variable, so each sees
 /// exactly the domains it would see alone; every component runs even
 /// after a conflict, and the first conflict in component order wins.
-fn initial_fixpoint(net: &Net, doms: &mut [Dom], totals: &mut SolveTotals) -> Option<RawConflict> {
+fn initial_fixpoint(
+    net: &Net,
+    doms: &mut [Dom],
+    totals: &mut SolveTotals,
+    buffers: &mut Buffers,
+) -> Option<RawConflict> {
     for &ci in &net.free {
         totals.propagations += 1;
         if eval3(&net.cons[ci].pred, &DomView { net, doms }) == T {
@@ -1566,7 +1593,7 @@ fn initial_fixpoint(net: &Net, doms: &mut [Dom], totals: &mut SolveTotals) -> Op
     }
     let mut first: Option<RawConflict> = None;
     for component in &net.components {
-        let raw = fixpoint(net, doms, component, None, totals);
+        let raw = fixpoint(net, doms, component, None, totals, buffers);
         if first.is_none() {
             first = raw;
         }

@@ -66,6 +66,13 @@ pub struct SessionSnapshot {
     estimates: BTreeMap<Symbol, Figure>,
 }
 
+impl SessionSnapshot {
+    /// The CDO the saved session is focused on, read without resuming it.
+    pub fn focus(&self) -> CdoId {
+        self.focus
+    }
+}
+
 /// An in-progress conceptual-design session.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationSession<'a> {

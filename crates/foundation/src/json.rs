@@ -782,7 +782,13 @@ impl<'a> Reader<'a> {
                     self.pos += 1;
                     return Ok(None);
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                Some(_) => return Err(self.err("expected ',' or '}' in object")),
+                // At end of input `Json::parse` reports the column of the
+                // last byte, not one past it.
+                None => {
+                    self.pos = self.pos.saturating_sub(1);
+                    return Err(self.err("expected ',' or '}' in object"));
+                }
             }
             self.skip_ws();
         }
@@ -1986,7 +1992,7 @@ mod tests {
     #[test]
     fn reader_borrows_escape_free_strings() {
         let mut r = Reader::new(br#""plain text \z"#);
-        assert!(matches!(r.read_str(), Err(_)));
+        assert!(r.read_str().is_err());
         let mut r = Reader::new("\"plain µ 😀 text\"".as_bytes());
         match r.read_str().unwrap() {
             Cow::Borrowed(s) => assert_eq!(s, "plain µ 😀 text"),

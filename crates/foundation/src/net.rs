@@ -523,7 +523,7 @@ mod tests {
         let mut r = BufReader::new(&b"nope\nxxxx"[..]);
         assert!(read_frame(&mut r, 64).is_err());
         let mut buf = Vec::new();
-        write_frame(&mut buf, &vec![b'y'; 100]).unwrap();
+        write_frame(&mut buf, &[b'y'; 100]).unwrap();
         let mut r = BufReader::new(&buf[..]);
         assert!(read_frame(&mut r, 64).is_err());
     }

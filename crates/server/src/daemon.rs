@@ -42,7 +42,7 @@ use std::{io, thread};
 use foundation::net::{self, TcpServer, MAX_WIRE_BYTES};
 
 use crate::engine::Engine;
-use crate::protocol::{err_response, parse_request, render_err_into, ProtocolError};
+use crate::protocol::{parse_request, render_err_into, ProtocolError};
 
 /// Registries of live connections: socket clones (for drain wake-up)
 /// and thread handles (for join), both keyed by a per-connection id so
@@ -220,14 +220,15 @@ impl Server {
 
 /// Answers an over-cap connection with one structured refusal line and
 /// drops it.
-fn refuse_connection(stream: TcpStream, retry_after_ms: u64) {
-    let resp = err_response(
-        &None,
+fn refuse_connection(mut stream: TcpStream, retry_after_ms: u64) {
+    let mut line = Vec::new();
+    render_err_into(
+        &mut line,
+        None,
         &ProtocolError::overloaded("connection limit reached", retry_after_ms),
     );
-    let mut writer = io::BufWriter::new(stream);
-    let _ = net::write_line(&mut writer, &foundation::json::encode(&resp));
-    let _ = writer.flush();
+    line.push(b'\n');
+    let _ = stream.write_all(&line).and_then(|()| stream.flush());
 }
 
 /// Whether a read error means the peer merely went quiet (read timeout:
@@ -332,18 +333,17 @@ pub fn serve_connection(
 fn shed_into(engine: &Engine, line: &str, out: &mut Vec<u8>) {
     engine.note_overload();
     let guard_cfg = engine.guard();
+    // Decoded only for the id the refusal echoes.
     let (_, env) = parse_request(line);
-    foundation::json::write_json(
+    render_err_into(
         out,
-        &err_response(
-            &env.id,
-            &ProtocolError::overloaded(
-                format!(
-                    "batch limit reached ({} in flight on this connection)",
-                    guard_cfg.max_inflight_per_conn
-                ),
-                guard_cfg.retry_after_ms,
+        env.id.as_deref(),
+        &ProtocolError::overloaded(
+            format!(
+                "batch limit reached ({} in flight on this connection)",
+                guard_cfg.max_inflight_per_conn
             ),
+            guard_cfg.retry_after_ms,
         ),
     );
 }

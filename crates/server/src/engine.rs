@@ -15,7 +15,11 @@
 //! found at boot — a killed daemon comes back with all its sessions.
 //!
 //! [`Engine::handle_line_into`] answers one request line into a
-//! caller-owned buffer. The engine has no batch entry point: the TCP
+//! caller-owned buffer, and every request takes the same path through
+//! it: the one decoder ([`crate::protocol::parse_request`]), admission
+//! (request counter, deadline fuel, panic containment, guard counters),
+//! one `dispatch` over all eleven ops, and one `render` through
+//! [`Writer`]. The engine has no batch entry point: the TCP
 //! front answers a pipelined burst line by line, in order, on the
 //! connection's thread, so concurrency comes from concurrent callers
 //! (one per connection), never from splitting one caller's lines.
@@ -28,29 +32,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dse::prelude::{
-    CdoId, DesignSpace, DiagCode, DseError, EstimateCache, ExplorationSession, FaultPlan,
-    FaultRates, Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Net,
-    Property, PropertyKind, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value,
-    Viability,
+    CdoId, Decision, DesignSpace, DiagCode, DseError, EstimateCache, ExplorationSession, FaultPlan,
+    FaultRates, Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Net, Property,
+    PropertyKind, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value, Viability,
 };
 use dse_library::{
     load_all_layers, roster_from_indices, roster_indices, CoreStore, Explorer, ReuseLibrary,
 };
-use foundation::json::{escaped_len, write_json, Json, Writer};
+use foundation::json::{escaped_len, Writer};
 use techlib::Technology;
 
 use crate::guard::{GuardConfig, FUEL_PER_MS};
 use crate::protocol::{
-    err_response, ok_response, parse_request, parse_request_fast, render_err_into,
-    render_ok_prefix, value_to_json, Envelope, FastEnvelope, FastRequest, ProtocolError, Request,
+    parse_request, render_err_into, render_ok_prefix, write_value, ProtocolError, Request,
 };
-
-/// Environment variable selecting the wire codec: the default is the
-/// zero-copy fast path (borrowed decode + direct `Writer` rendering)
-/// with tree fallback for anything unusual; `tree` forces every request
-/// through the original `Json`-tree codec, which stays wired in as the
-/// differential oracle (the `DSE_ANALYZE_ENGINE` pattern).
-pub const WIRE_ENGINE_ENV: &str = "DSE_WIRE_ENGINE";
 
 /// Default cap on core names returned by `surviving_cores`.
 const DEFAULT_CORE_LIMIT: usize = 64;
@@ -350,7 +345,6 @@ impl EngineBuilder {
             supervisor: Mutex::new(supervisor),
             cache,
             guard: self.guard,
-            wire_tree: std::env::var(WIRE_ENGINE_ENV).is_ok_and(|v| v == "tree"),
             draining: AtomicBool::new(false),
             boot_warnings: Vec::new(),
             requests: AtomicU64::new(0),
@@ -379,9 +373,6 @@ pub struct Engine {
     supervisor: Mutex<Supervisor>,
     cache: Arc<EstimateCache>,
     guard: GuardConfig,
-    /// `DSE_WIRE_ENGINE=tree`: route every request through the original
-    /// tree codec instead of the zero-copy fast path.
-    wire_tree: bool,
     draining: AtomicBool,
     boot_warnings: Vec<String>,
     requests: AtomicU64,
@@ -394,24 +385,26 @@ pub struct Engine {
     compactions: AtomicU64,
 }
 
-type OpResult = Result<Vec<(String, Json)>, ProtocolError>;
-
-/// The outcome of a fast-path op, produced by the same op cores the
-/// tree path uses. Each variant renders through two codecs — tree
-/// fields (the oracle) and the direct [`Writer`] — which the wire tests
-/// hold byte-identical.
-enum FastOut {
+/// What one op produced, carried from [`Engine::dispatch`] to
+/// [`Engine::render`]. Anything the request already holds (a decide's
+/// name and value, a closed session's id, an invalidated tool) is
+/// rendered from the request instead.
+enum Reply {
     Open(OpenOut),
     Decide(DecideOut),
     Retract(RetractOut),
-    Eval(EvalOut),
+    /// Name-sorted estimates.
+    Eval(Vec<(String, FigureOut)>),
     Cores(CoresOut),
     Viable(ViableOut),
-    /// The closed session id.
-    Close(String),
+    Report(ReportOut),
+    Closed,
     /// Stats render straight off the engine's counters; there is
     /// nothing to carry.
     Stats,
+    /// How many cached estimates the invalidation dropped.
+    Invalidated(usize),
+    Draining,
 }
 
 struct OpenOut {
@@ -432,11 +425,6 @@ struct RetractOut {
     focus: String,
 }
 
-struct EvalOut {
-    /// Name-sorted estimates.
-    estimates: Vec<(String, FigureOut)>,
-}
-
 struct FigureOut {
     value: Option<f64>,
     provenance: &'static str,
@@ -453,6 +441,18 @@ struct CoresOut {
 struct ViableOut {
     viable: Viability,
     conflict: Option<String>,
+}
+
+struct ReportOut {
+    snapshot: String,
+    focus: String,
+    /// Name-sorted bindings.
+    bindings: Vec<(String, Value)>,
+    decisions: Vec<Decision>,
+    open_requirements: Vec<String>,
+    open_issues: Vec<String>,
+    /// Name-sorted estimates.
+    estimates: Vec<(String, FigureOut)>,
 }
 
 impl Engine {
@@ -505,47 +505,28 @@ impl Engine {
     }
 
     /// Handles one raw request line, appending the encoded response to
-    /// `out` — the steady-state entry point: with a warm (reused) `out`
-    /// and a hot-path request, the whole decode→dispatch→render cycle
-    /// performs zero codec allocations.
+    /// `out` — the steady-state entry point. Every request takes the
+    /// same path: [`parse_request`] decodes it, [`Engine::dispatch`]
+    /// runs it, and [`Engine::render`] writes the reply through one
+    /// [`Writer`]. With a warm (reused) `out` and a canonical line, the
+    /// codec itself performs zero allocations.
     pub fn handle_line_into(&self, line: &str, out: &mut Vec<u8>) {
-        if self.wire_tree {
-            out.extend_from_slice(self.handle_line_tree(line).as_bytes());
-            return;
-        }
-        match parse_request_fast(line) {
-            Some((req, env)) => self.handle_fast(&req, &env, out),
-            // Anything unusual — non-hot ops, tagged values, escapes,
-            // malformed lines — takes the tree path, which owns every
-            // error message.
-            None => {
-                let (parsed, env) = parse_request(line);
-                write_json(out, &self.handle_parsed(parsed, &env));
-            }
-        }
-    }
-
-    /// The original tree-codec request path, kept fully wired as the
-    /// differential oracle: `DSE_WIRE_ENGINE=tree` routes everything
-    /// here, and the wire tests diff its output byte-for-byte against
-    /// the zero-copy path.
-    pub fn handle_line_tree(&self, line: &str) -> String {
-        let (parsed, env) = parse_request(line);
-        foundation::json::encode(&self.handle_parsed(parsed, &env))
-    }
-
-    /// The zero-copy sibling of [`Engine::handle_parsed`]: identical
-    /// admission (request counter, fuel budget, panic containment,
-    /// guard counters), but the response is rendered straight into
-    /// `out` with no `Json` tree.
-    fn handle_fast(&self, req: &FastRequest<'_>, env: &FastEnvelope<'_>, out: &mut Vec<u8>) {
         self.requests.fetch_add(1, Ordering::Relaxed);
+        let (parsed, env) = parse_request(line);
+        let id = env.id.as_deref();
+        let req = match parsed {
+            Ok(req) => req,
+            Err(e) => return render_err_into(out, id, &e),
+        };
+        // A deadline is a cooperative fuel budget, not a wall clock: the
+        // same request with the same deadline_ms exhausts at the same
+        // point on every run, regardless of machine or thread count.
         let budget = env
             .deadline_ms
             .map(|ms| Fuel::new(ms.saturating_mul(FUEL_PER_MS)));
         // Dispatch first, render after: a panic mid-operation must not
         // leave half a response in the caller's buffer.
-        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch_fast(req, budget.as_ref())))
+        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(&req, budget.as_ref())))
             .unwrap_or_else(|p| {
                 let what = p
                     .downcast_ref::<&str>()
@@ -558,7 +539,7 @@ impl Engine {
                 ))
             });
         match result {
-            Ok(fout) => self.render_fast_ok(out, env.id, req, &fout),
+            Ok(reply) => self.render(out, id, &req, &reply),
             Err(e) => {
                 match e.code {
                     DiagCode::Overloaded => {
@@ -569,80 +550,73 @@ impl Engine {
                     }
                     _ => {}
                 }
-                render_err_into(out, env.id, &e);
+                render_err_into(out, id, &e);
             }
         }
     }
 
-    /// [`Engine::dispatch`] for borrowed requests: same admission
-    /// charge, same per-op fuel, same op cores — only the result shape
-    /// differs (an [`FastOut`] for the renderer instead of tree fields).
-    fn dispatch_fast(
-        &self,
-        req: &FastRequest<'_>,
-        budget: Option<&Fuel>,
-    ) -> Result<FastOut, ProtocolError> {
+    /// Runs one decoded request. Every deadlined request pays a flat
+    /// admission cost first, so `deadline_ms:0` answers DSL310 before
+    /// touching any state; the scan and lookahead ops charge their own
+    /// fuel on top.
+    fn dispatch(&self, req: &Request<'_>, budget: Option<&Fuel>) -> Result<Reply, ProtocolError> {
         charge(budget, OP_BASE_FUEL, "admission")?;
-        match *req {
-            FastRequest::Open {
+        match req {
+            Request::Open {
                 session,
                 snapshot,
                 resume,
             } => self
-                .op_open_core(
-                    session.map(str::to_owned),
-                    snapshot.map(str::to_owned),
-                    resume,
-                )
-                .map(FastOut::Open),
-            FastRequest::Decide {
+                .op_open(session.as_deref(), snapshot.as_deref(), *resume)
+                .map(Reply::Open),
+            Request::Decide {
                 session,
                 name,
                 value,
             } => self
-                .op_decide_core(session, name, &value.to_value())
-                .map(FastOut::Decide),
-            FastRequest::Retract { session, name } => {
-                self.op_retract_core(session, name).map(FastOut::Retract)
-            }
-            FastRequest::Eval { session } => {
-                self.op_eval_core(session, budget).map(FastOut::Eval)
-            }
-            FastRequest::SurvivingCores {
+                .op_decide(session, name, &value.to_value())
+                .map(Reply::Decide),
+            Request::Retract { session, name } => self
+                .op_retract(session, name.as_deref())
+                .map(Reply::Retract),
+            Request::Eval { session } => self.op_eval(session, budget).map(Reply::Eval),
+            Request::SurvivingCores {
                 session,
                 limit,
                 offset,
             } => {
                 charge(budget, CORE_SCAN_FUEL, "surviving_cores")?;
-                self.op_surviving_cores_core(
+                self.op_cores(
                     session,
                     limit.unwrap_or(DEFAULT_CORE_LIMIT),
                     offset.unwrap_or(0),
                 )
-                .map(FastOut::Cores)
+                .map(Reply::Cores)
             }
-            FastRequest::Viable { session, name } => {
+            Request::Viable { session, name } => {
                 charge(budget, LOOKAHEAD_FUEL, "viable")?;
-                self.op_viable_core(session, name).map(FastOut::Viable)
+                self.op_viable(session, name).map(Reply::Viable)
             }
-            FastRequest::Close { session } => self.op_close_core(session).map(FastOut::Close),
-            FastRequest::Stats => Ok(FastOut::Stats),
+            Request::Report { session } => self.op_report(session).map(Reply::Report),
+            Request::Close { session } => self.op_close(session).map(|()| Reply::Closed),
+            Request::Stats => Ok(Reply::Stats),
+            Request::Invalidate { tool } => {
+                Ok(Reply::Invalidated(self.cache.invalidate_tool(tool)))
+            }
+            Request::Shutdown => {
+                self.begin_drain();
+                Ok(Reply::Draining)
+            }
         }
     }
 
-    /// Renders a fast-path success response, byte-identical to the
-    /// tree path's `ok_response` + serializer for the same operation.
-    fn render_fast_ok(
-        &self,
-        out: &mut Vec<u8>,
-        id: Option<&str>,
-        req: &FastRequest<'_>,
-        fout: &FastOut,
-    ) {
+    /// Renders a success response: `{"ok":true,"id":…}` plus the op's
+    /// fields, in the order the README documents.
+    fn render(&self, out: &mut Vec<u8>, id: Option<&str>, req: &Request<'_>, reply: &Reply) {
         let mut w = Writer::new(out);
         render_ok_prefix(&mut w, id);
-        match (fout, req) {
-            (FastOut::Open(o), _) => {
+        match (reply, req) {
+            (Reply::Open(o), _) => {
                 w.key("session");
                 w.str_value(&o.session);
                 w.key("snapshot");
@@ -653,14 +627,10 @@ impl Engine {
                 w.bool_value(o.recovered);
                 if !o.diagnostics.is_empty() {
                     w.key("diagnostics");
-                    w.begin_array();
-                    for d in &o.diagnostics {
-                        w.str_value(d);
-                    }
-                    w.end_array();
+                    write_strs(&mut w, &o.diagnostics);
                 }
             }
-            (FastOut::Decide(o), FastRequest::Decide { name, value, .. }) => {
+            (Reply::Decide(o), Request::Decide { name, value, .. }) => {
                 w.key("name");
                 w.str_value(name);
                 w.key("value");
@@ -670,26 +640,17 @@ impl Engine {
                 w.key("open_issues");
                 w.int_value(o.open_issues);
             }
-            (FastOut::Retract(o), _) => {
+            (Reply::Retract(o), _) => {
                 w.key("undone");
-                w.begin_array();
-                for name in &o.undone {
-                    w.str_value(name);
-                }
-                w.end_array();
+                write_strs(&mut w, &o.undone);
                 w.key("focus");
                 w.str_value(&o.focus);
             }
-            (FastOut::Eval(o), _) => {
+            (Reply::Eval(estimates), _) => {
                 w.key("estimates");
-                w.begin_object();
-                for (name, figure) in &o.estimates {
-                    w.key(name);
-                    write_figure(&mut w, figure);
-                }
-                w.end_object();
+                write_estimates(&mut w, estimates);
             }
-            (FastOut::Cores(o), _) => {
+            (Reply::Cores(o), _) => {
                 w.key("count");
                 w.int_value(o.count);
                 w.key("offset");
@@ -699,13 +660,9 @@ impl Engine {
                 w.key("truncated");
                 w.bool_value(o.truncated);
                 w.key("cores");
-                w.begin_array();
-                for name in &o.names {
-                    w.str_value(name);
-                }
-                w.end_array();
+                write_strs(&mut w, &o.names);
             }
-            (FastOut::Viable(o), FastRequest::Viable { name, .. }) => {
+            (Reply::Viable(o), Request::Viable { name, .. }) => {
                 w.key("name");
                 w.str_value(name);
                 w.key("viable");
@@ -715,19 +672,66 @@ impl Engine {
                     w.str_value(conflict);
                 }
             }
-            (FastOut::Close(session), _) => {
+            (Reply::Report(o), Request::Report { session }) => {
+                w.key("session");
+                w.str_value(session);
+                w.key("snapshot");
+                w.str_value(&o.snapshot);
+                w.key("focus");
+                w.str_value(&o.focus);
+                w.key("bindings");
+                w.begin_object();
+                for (name, value) in &o.bindings {
+                    w.key(name);
+                    write_value(&mut w, value);
+                }
+                w.end_object();
+                w.key("decisions");
+                w.begin_array();
+                for d in &o.decisions {
+                    w.begin_object();
+                    w.key("property");
+                    w.str_value(&d.property);
+                    w.key("value");
+                    write_value(&mut w, &d.value);
+                    w.key("stale");
+                    w.bool_value(d.stale);
+                    if let Some(note) = &d.note {
+                        w.key("note");
+                        w.str_value(note);
+                    }
+                    w.end_object();
+                }
+                w.end_array();
+                w.key("open_requirements");
+                write_strs(&mut w, &o.open_requirements);
+                w.key("open_issues");
+                write_strs(&mut w, &o.open_issues);
+                w.key("estimates");
+                write_estimates(&mut w, &o.estimates);
+            }
+            (Reply::Closed, Request::Close { session }) => {
                 w.key("closed");
                 w.str_value(session);
             }
-            (FastOut::Stats, _) => self.render_stats(&mut w),
-            // dispatch_fast pairs each request with its own output kind.
-            _ => unreachable!("fast output does not match its request"),
+            (Reply::Stats, _) => self.render_stats(&mut w),
+            (Reply::Invalidated(dropped), Request::Invalidate { tool }) => {
+                w.key("tool");
+                w.str_value(tool);
+                w.key("dropped");
+                w.int_value(*dropped as i64);
+            }
+            (Reply::Draining, _) => {
+                w.key("draining");
+                w.bool_value(true);
+            }
+            // dispatch pairs each request with its own reply kind.
+            _ => unreachable!("reply does not match its request"),
         }
         w.end_object();
     }
 
-    /// The fast `stats` renderer: reads the same counters in the same
-    /// order as [`Engine::op_stats`], writing them without any tree.
+    /// Renders the `stats` fields straight off the engine's counters.
     fn render_stats(&self, w: &mut Writer<'_>) {
         let cache = self.cache.stats();
         w.key("sessions_open");
@@ -795,114 +799,12 @@ impl Engine {
         w.end_array();
     }
 
-    fn handle_parsed(&self, parsed: Result<Request, ProtocolError>, env: &Envelope) -> Json {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let id = &env.id;
-        let req = match parsed {
-            Ok(r) => r,
-            Err(e) => return err_response(id, &e),
-        };
-        // A deadline is a cooperative fuel budget, not a wall clock: the
-        // same request with the same deadline_ms exhausts at the same
-        // point on every run, regardless of machine or thread count.
-        let budget = env
-            .deadline_ms
-            .map(|ms| Fuel::new(ms.saturating_mul(FUEL_PER_MS)));
-        let result = catch_unwind(AssertUnwindSafe(|| self.dispatch(req, budget.as_ref())))
-            .unwrap_or_else(|p| {
-                let what = p
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_owned())
-                    .or_else(|| p.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown panic".to_owned());
-                Err(ProtocolError::new(
-                    DiagCode::SessionRejected,
-                    format!("internal error: operation aborted ({what})"),
-                ))
-            });
-        match result {
-            Ok(fields) => ok_response(id, fields),
-            Err(e) => {
-                match e.code {
-                    DiagCode::Overloaded => {
-                        self.overloaded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DiagCode::DeadlineExceeded => {
-                        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-                err_response(id, &e)
-            }
-        }
-    }
-
-    fn dispatch(&self, req: Request, budget: Option<&Fuel>) -> OpResult {
-        // Every deadlined request pays a flat admission cost, so
-        // deadline_ms:0 answers DSL310 before touching any state.
-        charge(budget, OP_BASE_FUEL, "admission")?;
-        match req {
-            Request::Open {
-                session,
-                snapshot,
-                resume,
-            } => self.op_open(session, snapshot, resume),
-            Request::Decide {
-                session,
-                name,
-                value,
-            } => self.op_decide(&session, &name, value),
-            Request::Retract { session, name } => self.op_retract(&session, name.as_deref()),
-            Request::Eval { session } => self.op_eval(&session, budget),
-            Request::SurvivingCores {
-                session,
-                limit,
-                offset,
-            } => {
-                charge(budget, CORE_SCAN_FUEL, "surviving_cores")?;
-                self.op_surviving_cores(
-                    &session,
-                    limit.unwrap_or(DEFAULT_CORE_LIMIT),
-                    offset.unwrap_or(0),
-                )
-            }
-            Request::Viable { session, name } => {
-                charge(budget, LOOKAHEAD_FUEL, "viable")?;
-                self.op_viable(&session, &name)
-            }
-            Request::Report { session } => self.op_report(&session),
-            Request::Close { session } => self.op_close(&session),
-            Request::Stats => Ok(self.op_stats()),
-            Request::Invalidate { tool } => Ok(vec![
-                ("tool".to_owned(), Json::Str(tool.clone())),
-                (
-                    "dropped".to_owned(),
-                    Json::Int(self.cache.invalidate_tool(&tool) as i64),
-                ),
-            ]),
-            Request::Shutdown => {
-                self.draining.store(true, Ordering::SeqCst);
-                Ok(vec![("draining".to_owned(), Json::Bool(true))])
-            }
-        }
-    }
-
     // ---- session lifecycle -------------------------------------------------
 
     fn op_open(
         &self,
-        session: Option<String>,
-        snapshot: Option<String>,
-        resume: bool,
-    ) -> OpResult {
-        self.op_open_core(session, snapshot, resume)
-            .map(|o| open_fields(&o))
-    }
-
-    fn op_open_core(
-        &self,
-        session: Option<String>,
-        snapshot: Option<String>,
+        session: Option<&str>,
+        snapshot: Option<&str>,
         resume: bool,
     ) -> Result<OpenOut, ProtocolError> {
         if self.is_draining() {
@@ -913,12 +815,12 @@ impl Engine {
         }
         let id = match session {
             Some(id) => {
-                if !JournalDir::is_valid_id(&id) {
+                if !JournalDir::is_valid_id(id) {
                     return Err(ProtocolError::malformed(format!(
                         "invalid session id {id:?} (want 1-128 chars of [A-Za-z0-9._-], no leading dot)"
                     )));
                 }
-                id
+                id.to_owned()
             }
             None => self.generate_id(),
         };
@@ -952,7 +854,7 @@ impl Engine {
         }
 
         let (slot, notes) = if resume {
-            let (slot, notes) = self.resume_slot(&id, snapshot.as_deref())?;
+            let (slot, notes) = self.resume_slot(&id, snapshot)?;
             self.recovered.fetch_add(1, Ordering::Relaxed);
             (slot, notes)
         } else {
@@ -969,7 +871,7 @@ impl Engine {
             let snapshot_name = snapshot.ok_or_else(|| {
                 ProtocolError::malformed("missing required field \"snapshot\"")
             })?;
-            let snap = self.snapshot(&snapshot_name)?;
+            let snap = self.snapshot(snapshot_name)?;
             if let Some(journal) = &self.journal {
                 self.write_meta(journal, &id, &snap.name)?;
             }
@@ -1002,12 +904,7 @@ impl Engine {
         Ok(out)
     }
 
-    fn op_close(&self, id: &str) -> OpResult {
-        self.op_close_core(id)
-            .map(|closed| vec![("closed".to_owned(), Json::Str(closed))])
-    }
-
-    fn op_close_core(&self, id: &str) -> Result<String, ProtocolError> {
+    fn op_close(&self, id: &str) -> Result<(), ProtocolError> {
         let removed = self.sessions.lock().unwrap().remove(id);
         if removed.is_none() {
             // A TTL-evicted session lives on as journal + meta sidecar;
@@ -1027,27 +924,12 @@ impl Engine {
                 .map_err(|e| journal_fault(id, "remove journal", &e))?;
             let _ = fs::remove_file(meta_path(journal, id));
         }
-        Ok(id.to_owned())
+        Ok(())
     }
 
     // ---- exploration ops ---------------------------------------------------
 
-    fn op_decide(&self, id: &str, name: &str, value: Value) -> OpResult {
-        let out = self.op_decide_core(id, name, &value)?;
-        Ok(vec![
-            ("name".to_owned(), Json::Str(name.to_owned())),
-            ("value".to_owned(), value_to_json(&value)),
-            ("focus".to_owned(), Json::Str(out.focus)),
-            ("open_issues".to_owned(), Json::Int(out.open_issues)),
-        ])
-    }
-
-    fn op_decide_core(
-        &self,
-        id: &str,
-        name: &str,
-        value: &Value,
-    ) -> Result<DecideOut, ProtocolError> {
+    fn op_decide(&self, id: &str, name: &str, value: &Value) -> Result<DecideOut, ProtocolError> {
         self.with_slot(id, |slot| {
             // Clone the Arc so the session borrows it, not the slot —
             // the journal appender needs `&mut slot` mid-operation.
@@ -1120,22 +1002,7 @@ impl Engine {
         })
     }
 
-    fn op_retract(&self, id: &str, name: Option<&str>) -> OpResult {
-        let out = self.op_retract_core(id, name)?;
-        Ok(vec![
-            (
-                "undone".to_owned(),
-                Json::Array(out.undone.into_iter().map(Json::Str).collect()),
-            ),
-            ("focus".to_owned(), Json::Str(out.focus)),
-        ])
-    }
-
-    fn op_retract_core(
-        &self,
-        id: &str,
-        name: Option<&str>,
-    ) -> Result<RetractOut, ProtocolError> {
+    fn op_retract(&self, id: &str, name: Option<&str>) -> Result<RetractOut, ProtocolError> {
         self.with_slot(id, |slot| {
             let snapshot = Arc::clone(&slot.snapshot);
             let mut session =
@@ -1206,20 +1073,11 @@ impl Engine {
         })
     }
 
-    fn op_eval(&self, id: &str, budget: Option<&Fuel>) -> OpResult {
-        let out = self.op_eval_core(id, budget)?;
-        Ok(vec![(
-            "estimates".to_owned(),
-            Json::Object(
-                out.estimates
-                    .into_iter()
-                    .map(|(name, figure)| (name, figure_fields(&figure)))
-                    .collect(),
-            ),
-        )])
-    }
-
-    fn op_eval_core(&self, id: &str, budget: Option<&Fuel>) -> Result<EvalOut, ProtocolError> {
+    fn op_eval(
+        &self,
+        id: &str,
+        budget: Option<&Fuel>,
+    ) -> Result<Vec<(String, FigureOut)>, ProtocolError> {
         self.with_slot(id, |slot| {
             // Cloned, not moved: a deadline that runs out mid-ladder
             // returns early and must leave the slot's state untouched.
@@ -1244,39 +1102,15 @@ impl Engine {
                     }
                 }
             }
-            let mut estimates: Vec<(String, FigureOut)> = session
-                .estimates()
-                .iter()
-                .map(|(name, figure)| (name.as_str().to_owned(), figure_out(figure)))
-                .collect();
-            estimates.sort_by(|a, b| a.0.cmp(&b.0));
+            let estimates = sorted_estimates(&session);
             // The clone on entry keeps the deadline path all-or-nothing;
             // the commit is a move.
             slot.state = session.into_snapshot();
-            Ok(EvalOut { estimates })
+            Ok(estimates)
         })
     }
 
-    fn op_surviving_cores(&self, id: &str, limit: usize, offset: usize) -> OpResult {
-        let out = self.op_surviving_cores_core(id, limit, offset)?;
-        Ok(vec![
-            ("count".to_owned(), Json::Int(out.count)),
-            ("offset".to_owned(), Json::Int(out.offset)),
-            ("returned".to_owned(), Json::Int(out.names.len() as i64)),
-            ("truncated".to_owned(), Json::Bool(out.truncated)),
-            (
-                "cores".to_owned(),
-                Json::Array(out.names.into_iter().map(Json::Str).collect()),
-            ),
-        ])
-    }
-
-    fn op_surviving_cores_core(
-        &self,
-        id: &str,
-        limit: usize,
-        offset: usize,
-    ) -> Result<CoresOut, ProtocolError> {
+    fn op_cores(&self, id: &str, limit: usize, offset: usize) -> Result<CoresOut, ProtocolError> {
         self.with_slot(id, |slot| {
             // The explorer only reads the session (queries re-sync its
             // cursor against the log), so the state moves through it and
@@ -1321,19 +1155,7 @@ impl Engine {
         })
     }
 
-    fn op_viable(&self, id: &str, name: &str) -> OpResult {
-        let out = self.op_viable_core(id, name)?;
-        let mut fields = vec![
-            ("name".to_owned(), Json::Str(name.to_owned())),
-            ("viable".to_owned(), viability_to_json(&out.viable)),
-        ];
-        if let Some(conflict) = out.conflict {
-            fields.push(("conflict".to_owned(), Json::Str(conflict)));
-        }
-        Ok(fields)
-    }
-
-    fn op_viable_core(&self, id: &str, name: &str) -> Result<ViableOut, ProtocolError> {
+    fn op_viable(&self, id: &str, name: &str) -> Result<ViableOut, ProtocolError> {
         self.with_slot(id, |slot| {
             // The lookahead only reads the session, so the state moves
             // through it and back into the slot.
@@ -1361,7 +1183,7 @@ impl Engine {
         })
     }
 
-    fn op_report(&self, id: &str) -> OpResult {
+    fn op_report(&self, id: &str) -> Result<ReportOut, ProtocolError> {
         self.with_slot(id, |slot| {
             // The report only reads the session, so the state moves
             // through it and back into the slot.
@@ -1369,170 +1191,30 @@ impl Engine {
                 &slot.snapshot.space,
                 std::mem::take(&mut slot.state),
             );
-            let space = session.space();
-
             // Bindings and estimates are keyed by interned symbol, whose
             // order is intern order — sort by name so reports are stable
             // across process histories.
-            let mut bindings: Vec<(String, Json)> = session
+            let mut bindings: Vec<(String, Value)> = session
                 .bindings()
                 .iter()
-                .map(|(name, value)| (name.as_str().to_owned(), value_to_json(value)))
+                .map(|(name, value)| (name.as_str().to_owned(), value.clone()))
                 .collect();
             bindings.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut estimates: Vec<(String, Json)> = session
-                .estimates()
-                .iter()
-                .map(|(name, figure)| (name.as_str().to_owned(), figure_to_json(figure)))
-                .collect();
-            estimates.sort_by(|a, b| a.0.cmp(&b.0));
-
-            let decisions: Vec<Json> = session
-                .log()
-                .iter()
-                .map(|d| {
-                    let mut obj = vec![
-                        ("property".to_owned(), Json::Str(d.property.clone())),
-                        ("value".to_owned(), value_to_json(&d.value)),
-                        ("stale".to_owned(), Json::Bool(d.stale)),
-                    ];
-                    if let Some(note) = &d.note {
-                        obj.push(("note".to_owned(), Json::Str(note.clone())));
-                    }
-                    Json::Object(obj)
-                })
-                .collect();
-            let names = |props: Vec<&Property>| {
-                Json::Array(
-                    props
-                        .iter()
-                        .map(|p| Json::Str(p.name().to_owned()))
-                        .collect(),
-                )
+            let names = |props: Vec<&Property>| -> Vec<String> {
+                props.iter().map(|p| p.name().to_owned()).collect()
             };
-            let fields = vec![
-                ("session".to_owned(), Json::Str(id.to_owned())),
-                (
-                    "snapshot".to_owned(),
-                    Json::Str(slot.snapshot.name.clone()),
-                ),
-                (
-                    "focus".to_owned(),
-                    Json::Str(space.path_string(session.focus())),
-                ),
-                ("bindings".to_owned(), Json::Object(bindings)),
-                ("decisions".to_owned(), Json::Array(decisions)),
-                (
-                    "open_requirements".to_owned(),
-                    names(session.open_requirements()),
-                ),
-                ("open_issues".to_owned(), names(session.open_issues())),
-                ("estimates".to_owned(), Json::Object(estimates)),
-            ];
+            let out = ReportOut {
+                snapshot: slot.snapshot.name.clone(),
+                focus: session.space().path_string(session.focus()),
+                bindings,
+                decisions: session.log().to_vec(),
+                open_requirements: names(session.open_requirements()),
+                open_issues: names(session.open_issues()),
+                estimates: sorted_estimates(&session),
+            };
             slot.state = session.into_snapshot();
-            Ok(fields)
+            Ok(out)
         })
-    }
-
-    fn op_stats(&self) -> Vec<(String, Json)> {
-        let cache = self.cache.stats();
-        vec![
-            (
-                "sessions_open".to_owned(),
-                Json::Int(self.open_sessions() as i64),
-            ),
-            (
-                "sessions_opened".to_owned(),
-                Json::Int(self.opened.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "sessions_recovered".to_owned(),
-                Json::Int(self.recovered.load(Ordering::Relaxed) as i64),
-            ),
-            (
-                "requests".to_owned(),
-                Json::Int(self.requests.load(Ordering::Relaxed) as i64),
-            ),
-            ("draining".to_owned(), Json::Bool(self.is_draining())),
-            (
-                "snapshots".to_owned(),
-                Json::Array(
-                    self.snapshots
-                        .keys()
-                        .map(|k| Json::Str(k.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "cache".to_owned(),
-                Json::Object(vec![
-                    ("entries".to_owned(), Json::Int(self.cache.len() as i64)),
-                    ("hits".to_owned(), Json::Int(cache.hits as i64)),
-                    ("misses".to_owned(), Json::Int(cache.misses as i64)),
-                    ("stores".to_owned(), Json::Int(cache.stores as i64)),
-                    (
-                        "invalidated".to_owned(),
-                        Json::Int(cache.invalidated as i64),
-                    ),
-                ]),
-            ),
-            (
-                "guard".to_owned(),
-                Json::Object(vec![
-                    (
-                        "overloaded".to_owned(),
-                        Json::Int(self.overloaded.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "deadline_exceeded".to_owned(),
-                        Json::Int(self.deadline_exceeded.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "sessions_evicted".to_owned(),
-                        Json::Int(self.evicted.load(Ordering::Relaxed) as i64),
-                    ),
-                    (
-                        "journal_compactions".to_owned(),
-                        Json::Int(self.compactions.load(Ordering::Relaxed) as i64),
-                    ),
-                ]),
-            ),
-            (
-                "breakers".to_owned(),
-                Json::Array(
-                    self.supervisor
-                        .lock()
-                        .unwrap()
-                        .breaker_snapshot()
-                        .into_iter()
-                        .map(|b| {
-                            Json::Object(vec![
-                                ("tool".to_owned(), Json::Str(b.tool)),
-                                ("phase".to_owned(), Json::Str(b.phase.to_owned())),
-                                ("trips".to_owned(), Json::Int(b.trips as i64)),
-                                (
-                                    "short_circuits".to_owned(),
-                                    Json::Int(b.short_circuits as i64),
-                                ),
-                                (
-                                    "calls_until_probe".to_owned(),
-                                    Json::Int(b.calls_until_probe as i64),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "boot_warnings".to_owned(),
-                Json::Array(
-                    self.boot_warnings
-                        .iter()
-                        .map(|w| Json::Str(w.clone()))
-                        .collect(),
-                ),
-            ),
-        ]
     }
 
     // ---- plumbing ----------------------------------------------------------
@@ -1869,59 +1551,25 @@ impl Engine {
 }
 
 fn open_out(id: &str, slot: &SessionSlot, notes: Vec<String>) -> OpenOut {
-    let session = ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
     OpenOut {
         session: id.to_owned(),
         snapshot: slot.snapshot.name.clone(),
-        focus: session.space().path_string(session.focus()),
+        focus: slot.snapshot.space.path_string(slot.state.focus()),
         recovered: slot.recovered,
         diagnostics: notes,
     }
 }
 
-fn open_fields(o: &OpenOut) -> Vec<(String, Json)> {
-    let mut fields = vec![
-        ("session".to_owned(), Json::Str(o.session.clone())),
-        ("snapshot".to_owned(), Json::Str(o.snapshot.clone())),
-        ("focus".to_owned(), Json::Str(o.focus.clone())),
-        ("recovered".to_owned(), Json::Bool(o.recovered)),
-    ];
-    if !o.diagnostics.is_empty() {
-        fields.push((
-            "diagnostics".to_owned(),
-            Json::Array(o.diagnostics.iter().cloned().map(Json::Str).collect()),
-        ));
-    }
-    fields
-}
-
-fn viability_to_json(v: &Viability) -> Json {
-    let kind = |k: &str| ("kind".to_owned(), Json::Str(k.to_owned()));
-    match v {
-        Viability::Values(vs) => Json::Object(vec![
-            kind("values"),
-            (
-                "options".to_owned(),
-                Json::Array(vs.iter().map(value_to_json).collect()),
-            ),
-        ]),
-        Viability::IntRange(lo, hi) => Json::Object(vec![
-            kind("int_range"),
-            ("lo".to_owned(), Json::Int(*lo)),
-            ("hi".to_owned(), Json::Int(*hi)),
-        ]),
-        Viability::RealRange(lo, hi) => Json::Object(vec![
-            kind("real_range"),
-            ("lo".to_owned(), Json::Float(*lo)),
-            ("hi".to_owned(), Json::Float(*hi)),
-        ]),
-        Viability::Open => Json::Object(vec![kind("open")]),
-        Viability::Empty => Json::Object(vec![kind("empty")]),
-    }
-}
-
-fn figure_to_json(figure: &Figure) -> Json {
-    figure_fields(&figure_out(figure))
+/// A session's estimates, sorted by name: they are keyed by interned
+/// symbol, whose order is intern order.
+fn sorted_estimates(session: &ExplorationSession<'_>) -> Vec<(String, FigureOut)> {
+    let mut estimates: Vec<(String, FigureOut)> = session
+        .estimates()
+        .iter()
+        .map(|(name, figure)| (name.as_str().to_owned(), figure_out(figure)))
+        .collect();
+    estimates.sort_by(|a, b| a.0.cmp(&b.0));
+    estimates
 }
 
 fn figure_out(figure: &Figure) -> FigureOut {
@@ -1932,41 +1580,35 @@ fn figure_out(figure: &Figure) -> FigureOut {
     }
 }
 
-fn figure_fields(figure: &FigureOut) -> Json {
-    Json::Object(vec![
-        (
-            "value".to_owned(),
-            match figure.value {
-                Some(v) => Json::Float(v),
-                None => Json::Null,
-            },
-        ),
-        (
-            "provenance".to_owned(),
-            Json::Str(figure.provenance.to_owned()),
-        ),
-        ("source".to_owned(), Json::Str(figure.source.clone())),
-    ])
+fn write_strs(w: &mut Writer<'_>, strs: &[String]) {
+    w.begin_array();
+    for s in strs {
+        w.str_value(s);
+    }
+    w.end_array();
 }
 
-/// Renders a figure through the writer, byte-identical to
-/// [`figure_fields`] + the tree serializer.
-fn write_figure(w: &mut Writer<'_>, figure: &FigureOut) {
+/// Renders name-sorted estimates as an object of figures.
+fn write_estimates(w: &mut Writer<'_>, estimates: &[(String, FigureOut)]) {
     w.begin_object();
-    w.key("value");
-    match figure.value {
-        Some(v) => w.float_value(v),
-        None => w.null_value(),
+    for (name, figure) in estimates {
+        w.key(name);
+        w.begin_object();
+        w.key("value");
+        match figure.value {
+            Some(v) => w.float_value(v),
+            None => w.null_value(),
+        }
+        w.key("provenance");
+        w.str_value(figure.provenance);
+        w.key("source");
+        w.str_value(&figure.source);
+        w.end_object();
     }
-    w.key("provenance");
-    w.str_value(figure.provenance);
-    w.key("source");
-    w.str_value(&figure.source);
     w.end_object();
 }
 
-/// Renders a viability verdict through the writer, byte-identical to
-/// [`viability_to_json`] + the tree serializer.
+/// Renders a viability verdict: `{"kind":…}` plus the kind's payload.
 fn write_viability(w: &mut Writer<'_>, v: &Viability) {
     w.begin_object();
     w.key("kind");
@@ -1976,15 +1618,7 @@ fn write_viability(w: &mut Writer<'_>, v: &Viability) {
             w.key("options");
             w.begin_array();
             for value in vs {
-                match value {
-                    Value::Int(i) => w.int_value(*i),
-                    Value::Real(r) => w.float_value(*r),
-                    Value::Text(s) => w.str_value(s),
-                    Value::Flag(b) => w.bool_value(*b),
-                    // Mirror `value_to_json`'s display fallback.
-                    #[allow(unreachable_patterns)]
-                    other => w.str_value(&other.to_string()),
-                }
+                write_value(w, value);
             }
             w.end_array();
         }

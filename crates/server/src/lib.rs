@@ -20,7 +20,10 @@
 //!   process-wide estimate cache.
 //! * [`protocol`] — the wire format: newline-delimited JSON, one
 //!   request per line, one response per line, stable `DSL3xx` error
-//!   codes, optional `id` echo for pipelining clients.
+//!   codes, optional `id` echo for pipelining clients. One borrowing
+//!   decoder reads every request and words every error; one
+//!   [`foundation::json::Writer`] renders every reply, with no `Json`
+//!   tree on the request path.
 //! * [`Server`] — the TCP front on [`foundation::net`]: thread per
 //!   connection with Nagle's algorithm off; a pipelined burst is
 //!   answered in request order on the connection's thread through

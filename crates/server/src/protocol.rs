@@ -5,27 +5,38 @@
 //! with an `"ok"` field. Failures carry a stable `dse::diag`-style code
 //! from the `DSL3xx` range (plus `DSL201` surfacing torn-journal
 //! recoveries) and a human-readable `"error"` message. A request may
-//! carry an `"id"` (string or number), echoed verbatim in its response
-//! so pipelining clients can match the two.
+//! carry an `"id"` (any JSON value), echoed in its response so
+//! pipelining clients can match the two.
+//!
+//! [`parse_request`] is the one decoder. It makes a single pass of the
+//! borrowing [`Reader`] over the line and builds no `Json` tree: string
+//! fields borrow from the line unless an escape forces an owned copy.
+//! It words every error itself, in a fixed order — JSON syntax,
+//! `deadline_ms`, the object check, `op`, then the op's own fields in
+//! order, each field's type before its presence. Replies are rendered
+//! straight into the caller's buffer through [`Writer`]
+//! ([`render_ok_prefix`], [`render_err_into`]).
 //!
 //! The full request/response grammar — every op, every error shape — is
-//! documented in the repository README's "Server" section; this module
-//! is the single place that parses and renders it.
+//! documented in the repository README's "Server" section.
+
+use std::borrow::Cow;
 
 use dse::diag::DiagCode;
 use dse::value::Value;
-use foundation::json::{Json, Number, Reader, Writer};
+use foundation::json::{Json, JsonError, Number, Reader, Writer};
 
-/// A parsed protocol request.
+/// A decoded protocol request. String fields borrow from the request
+/// line unless an escape sequence forced an owned copy.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub enum Request<'a> {
     /// Open a new session (or re-attach/recover with `resume`).
     Open {
         /// Client-chosen session id; the server generates one if absent.
-        session: Option<String>,
+        session: Option<Cow<'a, str>>,
         /// Snapshot to explore. Optional on resume (the journal's
         /// sidecar metadata names it).
-        snapshot: Option<String>,
+        snapshot: Option<Cow<'a, str>>,
         /// Recover the session's journal instead of starting fresh.
         resume: bool,
     },
@@ -33,25 +44,25 @@ pub enum Request {
     /// dispatches on the property's kind).
     Decide {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
         /// The property to decide.
-        name: String,
+        name: Cow<'a, str>,
         /// The chosen value.
-        value: Value,
+        value: ValueRef<'a>,
     },
     /// Undo decisions: the most recent one, or back to and including
     /// `name`.
     Retract {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
         /// Undo down to (and including) this decision; bare retract
         /// undoes one.
-        name: Option<String>,
+        name: Option<Cow<'a, str>>,
     },
     /// Evaluate: absorb derived values and run ready estimators.
     Eval {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
     },
     /// One page of the cores complying with every decision so far.
     /// The response echoes the exact total (`count`) and the effective
@@ -60,7 +71,7 @@ pub enum Request {
     /// by page, never as one oversized line.
     SurvivingCores {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
         /// Cap on the number of core names returned per page (count is
         /// always exact).
         limit: Option<usize>,
@@ -71,26 +82,26 @@ pub enum Request {
     /// propagation solver over the session's current bindings.
     Viable {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
         /// The property to probe.
-        name: String,
+        name: Cow<'a, str>,
     },
     /// Full session report.
     Report {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
     },
     /// Close the session, removing its journal.
     Close {
         /// The session.
-        session: String,
+        session: Cow<'a, str>,
     },
     /// Server-wide counters and cache statistics.
     Stats,
     /// Drop every cached estimate produced by one tool.
     Invalidate {
         /// The estimator tool name.
-        tool: String,
+        tool: Cow<'a, str>,
     },
     /// Begin graceful drain: refuse new work, finish in-flight
     /// requests, stop.
@@ -137,558 +148,410 @@ impl ProtocolError {
     }
 }
 
-/// The client correlation id attached to a request, echoed in the
-/// response.
-pub type RequestId = Option<Json>;
-
 /// Per-request transport metadata that rides alongside the op itself:
-/// the correlation `id` (echoed even when the op fails to parse) and
+/// the correlation `id` (echoed even when the op fails to decode) and
 /// the optional cooperative `deadline_ms` budget.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct Envelope {
-    /// The correlation id, echoed verbatim in the response.
-    pub id: RequestId,
+pub struct Envelope<'a> {
+    /// The id exactly as the response echoes it: its compact encoding.
+    /// That is the raw token from the line whenever the token already is
+    /// compact (`"req-1"`, `42`, `null`); otherwise (`1.50`, `-0`,
+    /// escaped strings, spaced arrays) it is re-encoded, which is the
+    /// only case that allocates.
+    pub id: Option<Cow<'a, str>>,
     /// Cooperative deadline for this request, in milliseconds. The
     /// engine converts it to a deterministic `robust::Fuel` step budget
     /// (no wall clock), answering `DSL310` when it runs dry.
     pub deadline_ms: Option<u64>,
 }
 
-fn str_field(obj: &Json, key: &str) -> Result<Option<String>, ProtocolError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(ProtocolError::malformed(format!(
-            "field {key:?} must be a string, got {}",
-            other.kind_name()
-        ))),
-    }
-}
-
-fn require(field: Option<String>, key: &str) -> Result<String, ProtocolError> {
-    field.ok_or_else(|| ProtocolError::malformed(format!("missing required field {key:?}")))
-}
-
-fn bool_field(obj: &Json, key: &str) -> Result<bool, ProtocolError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(false),
-        Some(Json::Bool(b)) => Ok(*b),
-        Some(other) => Err(ProtocolError::malformed(format!(
-            "field {key:?} must be a boolean, got {}",
-            other.kind_name()
-        ))),
-    }
-}
-
-fn usize_field(obj: &Json, key: &str) -> Result<Option<usize>, ProtocolError> {
-    match obj.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(j) => match j.as_i64() {
-            Some(n) if n >= 0 => Ok(Some(n as usize)),
-            _ => Err(ProtocolError::malformed(format!(
-                "field {key:?} must be a non-negative integer"
-            ))),
-        },
-    }
-}
-
-/// Parses a wire value: either a bare JSON scalar (`768`, `"Hardware"`,
-/// `true`, `2.5`) or the codec's tagged form (`{"Int":768}`).
-pub fn value_from_json(j: &Json) -> Result<Value, ProtocolError> {
-    match j {
-        Json::Bool(b) => Ok(Value::Flag(*b)),
-        Json::Str(s) => Ok(Value::Text(s.clone())),
-        Json::Int(i) => Ok(Value::Int(*i)),
-        Json::Float(f) => Ok(Value::Real(*f)),
-        Json::Object(entries) => {
-            // The codec's own form is `{"Int":[768]}`; also accept the
-            // unwrapped `{"Int":768}` clients naturally write.
-            let normalized = match entries.as_slice() {
-                [(tag, payload)] if !matches!(payload, Json::Array(_)) => Json::Object(vec![(
-                    tag.clone(),
-                    Json::Array(vec![payload.clone()]),
-                )]),
-                _ => j.clone(),
-            };
-            foundation::json::decode::<Value>(&foundation::json::encode(&normalized))
-                .map_err(|e| ProtocolError::malformed(format!("bad tagged value: {e}")))
-        }
-        other => Err(ProtocolError::malformed(format!(
-            "field \"value\" must be a scalar or tagged value, got {}",
-            other.kind_name()
-        ))),
-    }
-}
-
-/// Renders a [`Value`] in the friendly scalar wire form.
-pub fn value_to_json(v: &Value) -> Json {
-    match v {
-        Value::Int(i) => Json::Int(*i),
-        Value::Real(r) => Json::Float(*r),
-        Value::Text(s) => Json::Str(s.clone()),
-        Value::Flag(b) => Json::Bool(*b),
-        // `Value` is non_exhaustive-proof: fall back to the display form.
-        #[allow(unreachable_patterns)]
-        other => Json::Str(other.to_string()),
-    }
-}
-
-/// Parses one request line. Returns the request plus its [`Envelope`];
-/// the envelope's id comes back even on a parse error so the client
-/// can still match the failure (when the line parsed as JSON at all).
-pub fn parse_request(line: &str) -> (Result<Request, ProtocolError>, Envelope) {
-    let json = match Json::parse(line) {
-        Ok(j) => j,
-        Err(e) => {
-            return (
-                Err(ProtocolError::malformed(format!("invalid JSON: {e}"))),
-                Envelope::default(),
-            )
-        }
-    };
-    let mut envelope = Envelope {
-        id: json.get("id").cloned(),
-        deadline_ms: None,
-    };
-    match json.get("deadline_ms") {
-        None | Some(Json::Null) => {}
-        Some(j) => match j.as_i64() {
-            Some(ms) if ms >= 0 => envelope.deadline_ms = Some(ms as u64),
-            _ => {
-                return (
-                    Err(ProtocolError::malformed(
-                        "field \"deadline_ms\" must be a non-negative integer",
-                    )),
-                    envelope,
-                )
-            }
-        },
-    }
-    (parse_request_json(&json), envelope)
-}
-
-fn parse_request_json(json: &Json) -> Result<Request, ProtocolError> {
-    if json.as_object().is_none() {
-        return Err(ProtocolError::malformed(format!(
-            "request must be a JSON object, got {}",
-            json.kind_name()
-        )));
-    }
-    let op = require(str_field(json, "op")?, "op")?;
-    match op.as_str() {
-        "open" => Ok(Request::Open {
-            session: str_field(json, "session")?,
-            snapshot: str_field(json, "snapshot")?,
-            resume: bool_field(json, "resume")?,
-        }),
-        "decide" => Ok(Request::Decide {
-            session: require(str_field(json, "session")?, "session")?,
-            name: require(str_field(json, "name")?, "name")?,
-            value: value_from_json(json.get("value").ok_or_else(|| {
-                ProtocolError::malformed("missing required field \"value\"")
-            })?)?,
-        }),
-        "retract" => Ok(Request::Retract {
-            session: require(str_field(json, "session")?, "session")?,
-            name: str_field(json, "name")?,
-        }),
-        "eval" => Ok(Request::Eval {
-            session: require(str_field(json, "session")?, "session")?,
-        }),
-        "surviving_cores" => Ok(Request::SurvivingCores {
-            session: require(str_field(json, "session")?, "session")?,
-            limit: usize_field(json, "limit")?,
-            offset: usize_field(json, "offset")?,
-        }),
-        "viable" => Ok(Request::Viable {
-            session: require(str_field(json, "session")?, "session")?,
-            name: require(str_field(json, "name")?, "name")?,
-        }),
-        "report" => Ok(Request::Report {
-            session: require(str_field(json, "session")?, "session")?,
-        }),
-        "close" => Ok(Request::Close {
-            session: require(str_field(json, "session")?, "session")?,
-        }),
-        "stats" => Ok(Request::Stats),
-        "invalidate" => Ok(Request::Invalidate {
-            tool: require(str_field(json, "tool")?, "tool")?,
-        }),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(ProtocolError::new(
-            DiagCode::UnknownOp,
-            format!("unknown op {other:?}"),
-        )),
-    }
-}
-
-/// Builds a success response: `{"ok":true, ...fields}` (plus the echoed
-/// `id`).
-pub fn ok_response(id: &RequestId, fields: Vec<(String, Json)>) -> Json {
-    let mut obj = vec![("ok".to_owned(), Json::Bool(true))];
-    if let Some(id) = id {
-        obj.push(("id".to_owned(), id.clone()));
-    }
-    obj.extend(fields);
-    Json::Object(obj)
-}
-
-/// Builds a failure response:
-/// `{"ok":false,"code":"DSLnnn","error":"..."}` (plus the echoed `id`).
-pub fn err_response(id: &RequestId, err: &ProtocolError) -> Json {
-    let mut obj = vec![
-        ("ok".to_owned(), Json::Bool(false)),
-        ("code".to_owned(), Json::Str(err.code.as_str().to_owned())),
-        ("error".to_owned(), Json::Str(err.message.clone())),
-    ];
-    if let Some(ms) = err.retry_after_ms {
-        obj.push(("retry_after_ms".to_owned(), Json::Int(ms as i64)));
-    }
-    if let Some(id) = id {
-        obj.insert(1, ("id".to_owned(), id.clone()));
-    }
-    Json::Object(obj)
-}
-
-/// A request value borrowed straight from the wire line — the zero-copy
-/// sibling of [`Value`] for the hot-path decoder. Only scalar forms are
-/// representable; tagged values force the tree fallback.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// A request value: a scalar borrowed from the line (`768`,
+/// `"Hardware"`, `true`, `2.5`), or an owned [`Value`] decoded from the
+/// codec's tagged form (`{"Int":768}` or `{"Int":[768]}`).
+#[derive(Debug, Clone, PartialEq)]
 pub enum ValueRef<'a> {
     /// An integer scalar.
     Int(i64),
     /// A real scalar.
     Real(f64),
-    /// A text scalar, borrowed from the request line.
-    Text(&'a str),
+    /// A text scalar, borrowed unless escaped.
+    Text(Cow<'a, str>),
     /// A boolean scalar.
     Flag(bool),
+    /// A tagged value.
+    Tagged(Value),
 }
 
 impl ValueRef<'_> {
     /// Converts to the owned [`Value`] the engine stores.
-    pub fn to_value(self) -> Value {
+    pub fn to_value(&self) -> Value {
         match self {
-            ValueRef::Int(i) => Value::Int(i),
-            ValueRef::Real(r) => Value::Real(r),
-            ValueRef::Text(s) => Value::Text(s.to_owned()),
-            ValueRef::Flag(b) => Value::Flag(b),
+            ValueRef::Int(i) => Value::Int(*i),
+            ValueRef::Real(r) => Value::Real(*r),
+            ValueRef::Text(s) => Value::Text(s.as_ref().to_owned()),
+            ValueRef::Flag(b) => Value::Flag(*b),
+            ValueRef::Tagged(v) => v.clone(),
         }
     }
 
-    /// Renders the scalar exactly as [`value_to_json`] + the tree
-    /// serializer would.
-    pub fn write(self, w: &mut Writer<'_>) {
+    /// Renders the value in the friendly scalar wire form.
+    pub fn write(&self, w: &mut Writer<'_>) {
         match self {
-            ValueRef::Int(i) => w.int_value(i),
-            ValueRef::Real(r) => w.float_value(r),
+            ValueRef::Int(i) => w.int_value(*i),
+            ValueRef::Real(r) => w.float_value(*r),
             ValueRef::Text(s) => w.str_value(s),
-            ValueRef::Flag(b) => w.bool_value(b),
+            ValueRef::Flag(b) => w.bool_value(*b),
+            ValueRef::Tagged(v) => write_value(w, v),
         }
     }
 }
 
-/// The borrowed envelope of a fast-path request: the correlation id is
-/// kept as the *raw request bytes* (only when re-encoding is guaranteed
-/// byte-identical) and spliced verbatim into the response.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FastEnvelope<'a> {
-    /// Raw id token (`"req-1"`, `42`, `true`, `null`) to echo verbatim,
-    /// or `None` when the request carried no id.
-    pub id: Option<&'a str>,
-    /// Cooperative deadline for this request, in milliseconds.
-    pub deadline_ms: Option<u64>,
-}
-
-/// A hot-path request decoded without building a `Json` tree; every
-/// string field borrows from the request line. Ops outside the hot set
-/// (`report`, `invalidate`, `shutdown`) take the tree path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FastRequest<'a> {
-    /// `open` (hot so pipelined open→work→close batches stay on the
-    /// fast path).
-    Open {
-        /// Client-chosen session id, if any.
-        session: Option<&'a str>,
-        /// Snapshot to explore, if named.
-        snapshot: Option<&'a str>,
-        /// Recover from the journal instead of starting fresh.
-        resume: bool,
-    },
-    /// `decide`.
-    Decide {
-        /// The session.
-        session: &'a str,
-        /// The property to decide.
-        name: &'a str,
-        /// The chosen value.
-        value: ValueRef<'a>,
-    },
-    /// `retract`.
-    Retract {
-        /// The session.
-        session: &'a str,
-        /// Undo down to (and including) this decision, if named.
-        name: Option<&'a str>,
-    },
-    /// `eval`.
-    Eval {
-        /// The session.
-        session: &'a str,
-    },
-    /// `surviving_cores`.
-    SurvivingCores {
-        /// The session.
-        session: &'a str,
-        /// Page-size cap.
-        limit: Option<usize>,
-        /// Page offset.
-        offset: Option<usize>,
-    },
-    /// `viable`.
-    Viable {
-        /// The session.
-        session: &'a str,
-        /// The property to probe.
-        name: &'a str,
-    },
-    /// `close`.
-    Close {
-        /// The session.
-        session: &'a str,
-    },
-    /// `stats`.
-    Stats,
-}
-
-/// Accumulates fields during the single left-to-right scan. `*_seen`
-/// flags implement first-occurrence-wins for duplicate keys, matching
-/// `Json::get` on the tree path.
-#[derive(Default)]
-struct FastFields<'a> {
-    op: Option<&'a str>,
-    op_seen: bool,
-    session: Option<&'a str>,
-    session_seen: bool,
-    snapshot: Option<&'a str>,
-    snapshot_seen: bool,
-    name: Option<&'a str>,
-    name_seen: bool,
-    resume: bool,
-    resume_seen: bool,
-    value: Option<ValueRef<'a>>,
-    value_seen: bool,
-    limit: Option<usize>,
-    limit_seen: bool,
-    offset: Option<usize>,
-    offset_seen: bool,
-    id: Option<&'a str>,
-    id_seen: bool,
-    deadline_ms: Option<u64>,
-    deadline_seen: bool,
-}
-
-/// Reads an optional string field (`null` counts as absent, like
-/// `str_field`). Returns `None` (fallback) unless the value is an
-/// escape-free borrowed string or `null`.
-fn fast_opt_str<'a>(r: &mut Reader<'a>) -> Option<Option<&'a str>> {
-    match r.peek()? {
-        b'"' => match r.read_str().ok()? {
-            std::borrow::Cow::Borrowed(s) => Some(Some(s)),
-            std::borrow::Cow::Owned(_) => None,
-        },
-        b'n' => {
-            r.read_null().ok()?;
-            Some(None)
-        }
-        _ => None,
+/// Renders a [`Value`] in the friendly scalar wire form.
+pub fn write_value(w: &mut Writer<'_>, v: &Value) {
+    match v {
+        Value::Int(i) => w.int_value(*i),
+        Value::Real(r) => w.float_value(*r),
+        Value::Text(s) => w.str_value(s),
+        Value::Flag(b) => w.bool_value(*b),
+        // `Value` is non-exhaustive: fall back to the display form.
+        other => w.str_value(&other.to_string()),
     }
 }
 
-/// Reads an optional non-negative integer field (`null` counts as
-/// absent, like `usize_field`).
-fn fast_opt_usize(r: &mut Reader<'_>) -> Option<Option<usize>> {
-    match r.peek()? {
-        b'n' => {
-            r.read_null().ok()?;
-            Some(None)
+/// Decodes one request line. Returns the request plus its [`Envelope`];
+/// the envelope's id comes back even when the op fails to decode, so
+/// the client can still match the failure (when the line is valid JSON
+/// at all).
+pub fn parse_request(line: &str) -> (Result<Request<'_>, ProtocolError>, Envelope<'_>) {
+    match Fields::scan(line) {
+        Ok(fields) => {
+            let mut env = Envelope {
+                id: fields.id.map(echo_id),
+                deadline_ms: None,
+            };
+            let req = fields.request(&mut env.deadline_ms);
+            (req, env)
         }
-        b'-' | b'0'..=b'9' => match r.read_number().ok()? {
-            Number::Int(n) if n >= 0 => Some(Some(n as usize)),
-            _ => None,
-        },
-        _ => None,
+        Err(e) => (
+            Err(ProtocolError::malformed(format!("invalid JSON: {e}"))),
+            Envelope::default(),
+        ),
     }
 }
 
-/// Captures the raw id token when echoing it verbatim is guaranteed to
-/// match the tree path's decode-then-re-encode: escape-free strings,
-/// canonical integers, booleans, and `null`. Anything else (floats,
-/// escaped strings, arrays) forces the tree fallback.
-fn fast_raw_id<'a>(r: &mut Reader<'a>, line: &'a str) -> Option<&'a str> {
-    let start = r.pos();
-    match r.peek()? {
-        b'"' => match r.read_str().ok()? {
-            std::borrow::Cow::Borrowed(_) => Some(&line[start..r.pos()]),
-            std::borrow::Cow::Owned(_) => None,
-        },
-        b'-' | b'0'..=b'9' => match r.read_number_with_span().ok()? {
-            // `-0` is the one integer token whose re-encode (`0`)
-            // differs from its raw bytes.
-            (Number::Int(_), span) if span != "-0" => Some(span),
-            _ => None,
-        },
-        b't' | b'f' => {
-            let b = r.read_bool().ok()?;
-            Some(if b { "true" } else { "false" })
-        }
-        b'n' => {
-            r.read_null().ok()?;
-            Some("null")
-        }
-        _ => None,
+/// [`parse_request`] for callers that only need the decoded request:
+/// `None` whenever decoding fails.
+#[doc(hidden)]
+pub fn parse_request_fast(line: &str) -> Option<(Request<'_>, Envelope<'_>)> {
+    match parse_request(line) {
+        (Ok(req), env) => Some((req, env)),
+        (Err(_), _) => None,
     }
 }
 
-/// Decodes a hot-path request by borrowing from the line — no `Json`
-/// tree, no owned strings. Returns `None` on *any* anomaly (non-hot op,
-/// escaped strings, tagged values, wrong types, malformed JSON, missing
-/// required fields) so the caller falls back to [`parse_request`] and
-/// the tree path produces its byte-identical response or error.
-pub fn parse_request_fast(line: &str) -> Option<(FastRequest<'_>, FastEnvelope<'_>)> {
-    let mut r = Reader::new(line.as_bytes());
-    r.skip_ws();
-    if r.peek() != Some(b'{') {
-        return None;
-    }
-    r.begin_object().ok()?;
-    let mut f = FastFields::default();
-    let mut index = 0;
-    while let Some(key) = r.next_key(index).ok()? {
-        index += 1;
-        match key.as_ref() {
-            "op" if !f.op_seen => {
-                f.op_seen = true;
-                f.op = fast_opt_str(&mut r)?;
+/// The first occurrence of one known key, as read off the line.
+#[derive(Clone, Copy, Default)]
+enum Field<'a> {
+    #[default]
+    Absent,
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Str(&'a str),
+    /// A string with escapes, as its raw token: decoded only when read.
+    Escaped(&'a str),
+    /// An array or object, as its raw span: only a tagged value is
+    /// ever parsed.
+    Composite(&'a str),
+}
+
+impl<'a> Field<'a> {
+    /// Reads one value, failing exactly where (and as) `Json::parse`
+    /// would.
+    fn read(r: &mut Reader<'a>, line: &'a str) -> Result<Field<'a>, JsonError> {
+        Ok(match r.peek() {
+            Some(b'"') => {
+                let start = r.pos();
+                match r.read_str()? {
+                    Cow::Borrowed(s) => Field::Str(s),
+                    Cow::Owned(_) => Field::Escaped(&line[start..r.pos()]),
+                }
             }
-            "session" if !f.session_seen => {
-                f.session_seen = true;
-                f.session = fast_opt_str(&mut r)?;
+            Some(b'-' | b'0'..=b'9') => match r.read_number()? {
+                Number::Int(i) => Field::Int(i),
+                Number::Float(x) => Field::Float(x),
+            },
+            Some(b't' | b'f') => Field::Bool(r.read_bool()?),
+            Some(b'n') => {
+                r.read_null()?;
+                Field::Null
             }
-            "snapshot" if !f.snapshot_seen => {
-                f.snapshot_seen = true;
-                f.snapshot = fast_opt_str(&mut r)?;
-            }
-            "name" if !f.name_seen => {
-                f.name_seen = true;
-                f.name = fast_opt_str(&mut r)?;
-            }
-            "resume" if !f.resume_seen => {
-                f.resume_seen = true;
-                f.resume = match r.peek()? {
-                    b't' | b'f' => r.read_bool().ok()?,
-                    b'n' => {
-                        r.read_null().ok()?;
-                        false
-                    }
-                    _ => return None,
-                };
-            }
-            "value" if !f.value_seen => {
-                f.value_seen = true;
-                f.value = Some(match r.peek()? {
-                    b'"' => match r.read_str().ok()? {
-                        std::borrow::Cow::Borrowed(s) => ValueRef::Text(s),
-                        std::borrow::Cow::Owned(_) => return None,
-                    },
-                    b't' | b'f' => ValueRef::Flag(r.read_bool().ok()?),
-                    b'-' | b'0'..=b'9' => match r.read_number().ok()? {
-                        Number::Int(i) => ValueRef::Int(i),
-                        Number::Float(x) => ValueRef::Real(x),
-                    },
-                    // Tagged objects, arrays, and null take the tree
-                    // path (which also owns their error messages).
-                    _ => return None,
-                });
-            }
-            "limit" if !f.limit_seen => {
-                f.limit_seen = true;
-                f.limit = fast_opt_usize(&mut r)?;
-            }
-            "offset" if !f.offset_seen => {
-                f.offset_seen = true;
-                f.offset = fast_opt_usize(&mut r)?;
-            }
-            "id" if !f.id_seen => {
-                f.id_seen = true;
-                f.id = Some(fast_raw_id(&mut r, line)?);
-            }
-            "deadline_ms" if !f.deadline_seen => {
-                f.deadline_seen = true;
-                f.deadline_ms = match r.peek()? {
-                    b'n' => {
-                        r.read_null().ok()?;
-                        None
-                    }
-                    b'0'..=b'9' => match r.read_number().ok()? {
-                        Number::Int(ms) if ms >= 0 => Some(ms as u64),
-                        _ => return None,
-                    },
-                    _ => return None,
-                };
-            }
-            // Duplicate occurrences and unknown keys: validate and skip.
             _ => {
-                r.skip_value(0).ok()?;
+                let start = r.pos();
+                r.skip_value(1)?;
+                Field::Composite(&line[start..r.pos()])
             }
+        })
+    }
+
+    fn kind_name(&self) -> &'static str {
+        match self {
+            Field::Absent | Field::Null => "null",
+            Field::Bool(_) => "bool",
+            Field::Int(_) => "int",
+            Field::Float(_) => "float",
+            Field::Str(_) | Field::Escaped(_) => "string",
+            Field::Composite(span) if span.starts_with('[') => "array",
+            Field::Composite(_) => "object",
         }
     }
-    r.end().ok()?;
-    let req = match f.op? {
-        "open" => FastRequest::Open {
-            session: f.session,
-            snapshot: f.snapshot,
-            resume: f.resume,
-        },
-        "decide" => FastRequest::Decide {
-            session: f.session?,
-            name: f.name?,
-            value: f.value?,
-        },
-        "retract" => FastRequest::Retract {
-            session: f.session?,
-            name: f.name,
-        },
-        "eval" => FastRequest::Eval {
-            session: f.session?,
-        },
-        "surviving_cores" => FastRequest::SurvivingCores {
-            session: f.session?,
-            limit: f.limit,
-            offset: f.offset,
-        },
-        "viable" => FastRequest::Viable {
-            session: f.session?,
-            name: f.name?,
-        },
-        "close" => FastRequest::Close {
-            session: f.session?,
-        },
-        "stats" => FastRequest::Stats,
-        _ => return None,
+
+    /// An optional string; `null` counts as absent.
+    fn opt_str(self, key: &str) -> Result<Option<Cow<'a, str>>, ProtocolError> {
+        match self {
+            Field::Absent | Field::Null => Ok(None),
+            Field::Str(s) => Ok(Some(Cow::Borrowed(s))),
+            Field::Escaped(raw) => Ok(Some(unescape(raw))),
+            other => Err(ProtocolError::malformed(format!(
+                "field {key:?} must be a string, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+
+    /// A required string: a wrong type is reported before absence.
+    fn required_str(self, key: &str) -> Result<Cow<'a, str>, ProtocolError> {
+        self.opt_str(key)?
+            .ok_or_else(|| ProtocolError::malformed(format!("missing required field {key:?}")))
+    }
+
+    /// An optional boolean; `null` and absence read as `false`.
+    fn flag(self, key: &str) -> Result<bool, ProtocolError> {
+        match self {
+            Field::Absent | Field::Null => Ok(false),
+            Field::Bool(b) => Ok(b),
+            other => Err(ProtocolError::malformed(format!(
+                "field {key:?} must be a boolean, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+
+    /// An optional non-negative integer; `null` counts as absent, and an
+    /// integral float (`3.0`) counts as the integer.
+    fn count(self, key: &str) -> Result<Option<usize>, ProtocolError> {
+        let n = match self {
+            Field::Absent | Field::Null => return Ok(None),
+            Field::Int(i) => Some(i),
+            Field::Float(x) => Json::Float(x).as_i64(),
+            _ => None,
+        };
+        match n {
+            Some(n) if n >= 0 => Ok(Some(n as usize)),
+            _ => Err(ProtocolError::malformed(format!(
+                "field {key:?} must be a non-negative integer"
+            ))),
+        }
+    }
+
+    /// The `value` of a decide. Unlike the string fields, a `null`
+    /// value is present (and wrong).
+    fn wire_value(self) -> Result<ValueRef<'a>, ProtocolError> {
+        match self {
+            Field::Absent => Err(ProtocolError::malformed("missing required field \"value\"")),
+            Field::Bool(b) => Ok(ValueRef::Flag(b)),
+            Field::Int(i) => Ok(ValueRef::Int(i)),
+            Field::Float(x) => Ok(ValueRef::Real(x)),
+            Field::Str(s) => Ok(ValueRef::Text(Cow::Borrowed(s))),
+            Field::Escaped(raw) => Ok(ValueRef::Text(unescape(raw))),
+            Field::Composite(span) if span.starts_with('{') => {
+                tagged_value(&Json::parse(span).expect("the scan validated the value"))
+                    .map(ValueRef::Tagged)
+            }
+            other => Err(ProtocolError::malformed(format!(
+                "field \"value\" must be a scalar or tagged value, got {}",
+                other.kind_name()
+            ))),
+        }
+    }
+}
+
+/// Decodes a string token the scan already validated.
+fn unescape(raw: &str) -> Cow<'_, str> {
+    Reader::new(raw.as_bytes())
+        .read_str()
+        .expect("the scan validated the string")
+}
+
+/// Decodes the codec's tagged form `{"Int":[768]}`, also accepting the
+/// unwrapped `{"Int":768}` clients naturally write.
+fn tagged_value(j: &Json) -> Result<Value, ProtocolError> {
+    let normalized = match j.as_object() {
+        Some([(tag, payload)]) if !matches!(payload, Json::Array(_)) => {
+            Json::Object(vec![(tag.clone(), Json::Array(vec![payload.clone()]))])
+        }
+        _ => j.clone(),
     };
-    Some((
-        req,
-        FastEnvelope {
-            id: f.id,
-            deadline_ms: f.deadline_ms,
-        },
-    ))
+    // Through the text form, so a payload the codec cannot write (an
+    // overflowing `1e999` encodes as `null`) is refused, not stored.
+    foundation::json::decode::<Value>(&foundation::json::encode(&normalized))
+        .map_err(|e| ProtocolError::malformed(format!("bad tagged value: {e}")))
+}
+
+/// The id's compact encoding: the raw token when it already is one, else
+/// the re-encoded value.
+fn echo_id(raw: &str) -> Cow<'_, str> {
+    let compact = match raw.as_bytes()[0] {
+        b'n' | b't' | b'f' => true,
+        // Only `"`, `\` and control characters get escaped, and an
+        // escape-free token can hold none of them.
+        b'"' => !raw.contains('\\'),
+        // `-0` is the one integer token that re-encodes differently.
+        b'-' | b'0'..=b'9' => raw != "-0" && raw.parse::<i64>().is_ok(),
+        _ => false,
+    };
+    if compact {
+        return Cow::Borrowed(raw);
+    }
+    let encoded = foundation::json::encode(&Json::parse(raw).expect("the scan validated the id"));
+    if encoded == raw {
+        Cow::Borrowed(raw)
+    } else {
+        Cow::Owned(encoded)
+    }
+}
+
+/// Every key the decoder knows, filled by one left-to-right scan. Key
+/// order on the line is arbitrary, so nothing is validated until the
+/// whole line has been read; the first occurrence of a key wins.
+#[derive(Default)]
+struct Fields<'a> {
+    op: Field<'a>,
+    session: Field<'a>,
+    snapshot: Field<'a>,
+    name: Field<'a>,
+    resume: Field<'a>,
+    value: Field<'a>,
+    limit: Field<'a>,
+    offset: Field<'a>,
+    tool: Field<'a>,
+    deadline_ms: Field<'a>,
+    /// The raw id token.
+    id: Option<&'a str>,
+    /// The kind of a document that is not an object.
+    not_object: Option<&'static str>,
+}
+
+impl<'a> Fields<'a> {
+    /// Scans a whole line, failing on the first syntax error exactly as
+    /// `Json::parse` would (same message, same position).
+    fn scan(line: &'a str) -> Result<Fields<'a>, JsonError> {
+        let mut f = Fields::default();
+        let mut r = Reader::new(line.as_bytes());
+        r.skip_ws();
+        if r.peek() != Some(b'{') {
+            f.not_object = Some(r.read_value(0)?.kind_name());
+            r.end()?;
+            return Ok(f);
+        }
+        r.begin_object()?;
+        let mut index = 0;
+        while let Some(key) = r.next_key(index)? {
+            index += 1;
+            let slot = match key.as_ref() {
+                "op" => &mut f.op,
+                "session" => &mut f.session,
+                "snapshot" => &mut f.snapshot,
+                "name" => &mut f.name,
+                "resume" => &mut f.resume,
+                "value" => &mut f.value,
+                "limit" => &mut f.limit,
+                "offset" => &mut f.offset,
+                "tool" => &mut f.tool,
+                "deadline_ms" => &mut f.deadline_ms,
+                "id" if f.id.is_none() => {
+                    let start = r.pos();
+                    r.skip_value(1)?;
+                    f.id = Some(&line[start..r.pos()]);
+                    continue;
+                }
+                _ => {
+                    r.skip_value(1)?;
+                    continue;
+                }
+            };
+            if matches!(slot, Field::Absent) {
+                *slot = Field::read(&mut r, line)?;
+            } else {
+                r.skip_value(1)?;
+            }
+        }
+        r.end()?;
+        Ok(f)
+    }
+
+    /// Validates the scanned fields in the wire contract's order:
+    /// `deadline_ms`, the object check, `op`, then the op's fields.
+    fn request(&self, deadline_ms: &mut Option<u64>) -> Result<Request<'a>, ProtocolError> {
+        *deadline_ms = self.deadline_ms.count("deadline_ms")?.map(|ms| ms as u64);
+        if let Some(kind) = self.not_object {
+            return Err(ProtocolError::malformed(format!(
+                "request must be a JSON object, got {kind}"
+            )));
+        }
+        let op = self.op.required_str("op")?;
+        Ok(match op.as_ref() {
+            "open" => Request::Open {
+                session: self.session.opt_str("session")?,
+                snapshot: self.snapshot.opt_str("snapshot")?,
+                resume: self.resume.flag("resume")?,
+            },
+            "decide" => Request::Decide {
+                session: self.session.required_str("session")?,
+                name: self.name.required_str("name")?,
+                value: self.value.wire_value()?,
+            },
+            "retract" => Request::Retract {
+                session: self.session.required_str("session")?,
+                name: self.name.opt_str("name")?,
+            },
+            "eval" => Request::Eval {
+                session: self.session.required_str("session")?,
+            },
+            "surviving_cores" => Request::SurvivingCores {
+                session: self.session.required_str("session")?,
+                limit: self.limit.count("limit")?,
+                offset: self.offset.count("offset")?,
+            },
+            "viable" => Request::Viable {
+                session: self.session.required_str("session")?,
+                name: self.name.required_str("name")?,
+            },
+            "report" => Request::Report {
+                session: self.session.required_str("session")?,
+            },
+            "close" => Request::Close {
+                session: self.session.required_str("session")?,
+            },
+            "stats" => Request::Stats,
+            "invalidate" => Request::Invalidate {
+                tool: self.tool.required_str("tool")?,
+            },
+            "shutdown" => Request::Shutdown,
+            other => {
+                return Err(ProtocolError::new(
+                    DiagCode::UnknownOp,
+                    format!("unknown op {other:?}"),
+                ))
+            }
+        })
+    }
 }
 
 /// Opens a success response on the writer: `{"ok":true,"id":…` with the
-/// raw id spliced verbatim. The caller appends its fields and closes
-/// the object.
+/// id spliced in as given. The caller appends its fields and closes the
+/// object.
 pub fn render_ok_prefix(w: &mut Writer<'_>, id: Option<&str>) {
     w.begin_object();
     w.key("ok");
@@ -699,8 +562,9 @@ pub fn render_ok_prefix(w: &mut Writer<'_>, id: Option<&str>) {
     }
 }
 
-/// Renders a complete failure response, byte-identical to
-/// [`err_response`] + the tree serializer.
+/// Renders a complete failure response:
+/// `{"ok":false,"id":…,"code":"DSLnnn","error":"…"}`, plus
+/// `retry_after_ms` when the error carries one.
 pub fn render_err_into(out: &mut Vec<u8>, id: Option<&str>, err: &ProtocolError) {
     let mut w = Writer::new(out);
     w.begin_object();
@@ -725,6 +589,12 @@ pub fn render_err_into(out: &mut Vec<u8>, id: Option<&str>, err: &ProtocolError)
 mod tests {
     use super::*;
 
+    fn err_line(id: Option<&str>, err: &ProtocolError) -> String {
+        let mut out = Vec::new();
+        render_err_into(&mut out, id, err);
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn ops_parse_with_scalar_and_tagged_values() {
         let (req, env) =
@@ -734,18 +604,22 @@ mod tests {
             Request::Decide {
                 session: "s1".into(),
                 name: "EOL".into(),
-                value: Value::Int(768),
+                value: ValueRef::Int(768),
             }
         );
-        assert_eq!(env.id, Some(Json::Int(7)));
+        assert_eq!(env.id.as_deref(), Some("7"));
         assert_eq!(env.deadline_ms, None);
 
-        let (req, _) = parse_request(
+        for line in [
             r#"{"op":"decide","session":"s1","name":"Algorithm","value":{"Text":"Montgomery"}}"#,
-        );
-        assert!(
-            matches!(req.unwrap(), Request::Decide { value, .. } if value == Value::from("Montgomery"))
-        );
+            r#"{"op":"decide","session":"s1","name":"Algorithm","value":{"Text":["Montgomery"]}}"#,
+        ] {
+            let (req, _) = parse_request(line);
+            assert!(
+                matches!(req.unwrap(), Request::Decide { value: ValueRef::Tagged(v), .. } if v == Value::from("Montgomery")),
+                "{line}"
+            );
+        }
 
         let (req, _) = parse_request(r#"{"op":"viable","session":"s1","name":"Algorithm"}"#);
         assert_eq!(
@@ -765,6 +639,18 @@ mod tests {
                 resume: true,
             }
         );
+
+        let (req, _) = parse_request(r#"{"op":"invalidate","tool":"T"}"#);
+        assert_eq!(req.unwrap(), Request::Invalidate { tool: "T".into() });
+        let (req, _) = parse_request(r#"{"op":"report","session":"s"}"#);
+        assert_eq!(
+            req.unwrap(),
+            Request::Report {
+                session: "s".into()
+            }
+        );
+        let (req, _) = parse_request(r#"{"op":"shutdown"}"#);
+        assert_eq!(req.unwrap(), Request::Shutdown);
     }
 
     #[test]
@@ -786,131 +672,159 @@ mod tests {
         let (req, env) = parse_request(r#"{"op":"stats","id":1,"deadline_ms":250}"#);
         assert!(req.is_ok());
         assert_eq!(env.deadline_ms, Some(250));
+        let (_, env) = parse_request(r#"{"op":"stats","deadline_ms":3.0}"#);
+        assert_eq!(env.deadline_ms, Some(3));
 
         // The id still comes back when only the deadline is bad.
         let (req, env) = parse_request(r#"{"op":"stats","id":2,"deadline_ms":-5}"#);
         assert_eq!(req.unwrap_err().code, DiagCode::MalformedRequest);
-        assert_eq!(env.id, Some(Json::Int(2)));
-        let (req, _) = parse_request(r#"{"op":"stats","deadline_ms":"soon"}"#);
-        assert_eq!(req.unwrap_err().code, DiagCode::MalformedRequest);
+        assert_eq!(env.id.as_deref(), Some("2"));
+        for line in [
+            r#"{"op":"stats","deadline_ms":"soon"}"#,
+            r#"{"op":"stats","deadline_ms":1.5}"#,
+            // Checked before the op is even looked at.
+            r#"{"op":"frobnicate","deadline_ms":-1}"#,
+        ] {
+            let (req, _) = parse_request(line);
+            assert_eq!(
+                req.unwrap_err().message,
+                "field \"deadline_ms\" must be a non-negative integer",
+                "{line}"
+            );
+        }
     }
 
     #[test]
     fn overload_errors_carry_the_retry_hint() {
         let err = ProtocolError::overloaded("connection cap reached", 200);
-        let rendered = err_response(&Some(Json::Int(9)), &err);
-        assert_eq!(rendered.get("code").and_then(Json::as_str), Some("DSL309"));
         assert_eq!(
-            rendered.get("retry_after_ms").and_then(Json::as_i64),
-            Some(200)
+            err_line(Some("9"), &err),
+            r#"{"ok":false,"id":9,"code":"DSL309","error":"connection cap reached","retry_after_ms":200}"#
         );
-        assert_eq!(rendered.get("id").and_then(Json::as_i64), Some(9));
         // Other errors do not grow the field.
-        let plain = err_response(&None, &ProtocolError::deadline("budget ran out"));
-        assert_eq!(plain.get("code").and_then(Json::as_str), Some("DSL310"));
-        assert_eq!(plain.get("retry_after_ms"), None);
+        assert_eq!(
+            err_line(None, &ProtocolError::deadline("budget ran out")),
+            r#"{"ok":false,"code":"DSL310","error":"budget ran out"}"#
+        );
     }
 
     #[test]
     fn responses_echo_the_id() {
-        let id = Some(Json::Str("req-1".into()));
-        let ok = ok_response(&id, vec![("x".into(), Json::Int(1))]);
-        assert_eq!(ok.get("id").and_then(Json::as_str), Some("req-1"));
-        assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
-        let err = err_response(&id, &ProtocolError::malformed("bad"));
-        assert_eq!(err.get("code").and_then(Json::as_str), Some("DSL301"));
-        assert_eq!(err.get("id").and_then(Json::as_str), Some("req-1"));
+        let mut out = Vec::new();
+        let mut w = Writer::new(&mut out);
+        render_ok_prefix(&mut w, Some(r#""req-1""#));
+        w.key("x");
+        w.int_value(1);
+        w.end_object();
+        assert_eq!(out, br#"{"ok":true,"id":"req-1","x":1}"#);
+        assert_eq!(
+            err_line(Some(r#""req-1""#), &ProtocolError::malformed("bad")),
+            r#"{"ok":false,"id":"req-1","code":"DSL301","error":"bad"}"#
+        );
     }
 
     #[test]
     fn fast_parser_decodes_hot_ops_borrowing_from_the_line() {
-        let line = r#"{"op":"decide","session":"s1","name":"EOL","value":768,"id":7}"#;
-        let (req, env) = parse_request_fast(line).unwrap();
-        assert_eq!(
-            req,
-            FastRequest::Decide {
-                session: "s1",
-                name: "EOL",
-                value: ValueRef::Int(768),
-            }
-        );
-        assert_eq!(env.id, Some("7"));
-        assert_eq!(env.deadline_ms, None);
+        let line = r#"{"op":"decide","session":"s1","name":"EOL","value":"x","id":7}"#;
+        let (req, env) = parse_request(line);
+        let Ok(Request::Decide {
+            session: Cow::Borrowed("s1"),
+            name: Cow::Borrowed("EOL"),
+            value: ValueRef::Text(Cow::Borrowed("x")),
+        }) = req
+        else {
+            panic!("decide did not borrow from the line: {req:?}");
+        };
+        assert!(matches!(env.id, Some(Cow::Borrowed("7"))));
 
-        let (req, env) =
-            parse_request_fast(r#"{"op":"stats","id":"req-1","deadline_ms":250}"#).unwrap();
-        assert_eq!(req, FastRequest::Stats);
-        assert_eq!(env.id, Some("\"req-1\""));
+        let (req, env) = parse_request(r#"{"op":"stats","id":"req-1","deadline_ms":250}"#);
+        assert_eq!(req.unwrap(), Request::Stats);
+        assert!(matches!(env.id, Some(Cow::Borrowed("\"req-1\""))));
         assert_eq!(env.deadline_ms, Some(250));
-
-        let (req, _) =
-            parse_request_fast(r#"{"op":"open","snapshot":"crypto","resume":true}"#).unwrap();
-        assert_eq!(
-            req,
-            FastRequest::Open {
-                session: None,
-                snapshot: Some("crypto"),
-                resume: true,
-            }
-        );
     }
 
     #[test]
-    fn fast_parser_falls_back_on_anything_unusual() {
-        // Non-hot ops, tagged values, escaped strings, exotic ids,
-        // malformed JSON: all defer to the tree path.
-        for line in [
-            r#"{"op":"report","session":"s"}"#,
-            r#"{"op":"invalidate","tool":"T"}"#,
-            r#"{"op":"shutdown"}"#,
-            r#"{"op":"frobnicate"}"#,
-            r#"{"op":"decide","session":"s","name":"A","value":{"Text":"x"}}"#,
-            r#"{"op":"decide","session":"s","name":"A","value":null}"#,
-            r#"{"op":"decide","session":"s"}"#,
-            r#"{"op":"eval","session":5}"#,
-            r#"{"op":"stats","id":1.5}"#,
-            r#"{"op":"stats","id":-0}"#,
-            r#"{"op":"stats","id":[1]}"#,
-            r#"{"op":"stats","deadline_ms":-5}"#,
-            r#"{"op":"stats","deadline_ms":"soon"}"#,
-            r#"{"op":"stats"} trailing"#,
-            r#"[1,2]"#,
-            "not json",
+    fn escapes_ids_and_stray_fields_decode_by_the_wire_contract() {
+        // Escaped strings decode to owned copies.
+        let (req, _) = parse_request(r#"{"op":"eval","session":"\u0068"}"#);
+        assert!(matches!(req.unwrap(), Request::Eval { session: Cow::Owned(s) } if s == "h"));
+        // Ids echo in their compact encoding; only non-compact tokens
+        // are re-encoded.
+        for (id, echo) in [
+            ("1.50", "1.5"),
+            ("-0", "0"),
+            ("1e2", "100.0"),
+            (r#""\u0041""#, r#""A""#),
+            ("[1, 2]", "[1,2]"),
+            (r#"{ "a" : 1 }"#, r#"{"a":1}"#),
         ] {
-            assert!(parse_request_fast(line).is_none(), "should fall back: {line}");
+            let line = format!(r#"{{"op":"stats","id":{id}}}"#);
+            let (_, env) = parse_request(&line);
+            assert!(
+                matches!(env.id, Some(Cow::Owned(ref s)) if s == echo),
+                "{id}"
+            );
         }
-        // But null ids and bool ids are exactly re-encodable.
-        let (_, env) = parse_request_fast(r#"{"op":"stats","id":null}"#).unwrap();
-        assert_eq!(env.id, Some("null"));
-        let (_, env) = parse_request_fast(r#"{"op":"stats","id":true}"#).unwrap();
-        assert_eq!(env.id, Some("true"));
+        for id in ["null", "true", "-7", r#""é""#, "[1,2]", r#"{"a":1}"#] {
+            let line = format!(r#"{{"op":"stats","id":{id}}}"#);
+            let (_, env) = parse_request(&line);
+            assert!(matches!(env.id, Some(Cow::Borrowed(s)) if s == id), "{id}");
+        }
+        // Fields an op does not read are never validated.
+        let (req, _) = parse_request(r#"{"op":"stats","session":5,"value":null}"#);
+        assert_eq!(req.unwrap(), Request::Stats);
+        // Syntax errors are worded as the tree parser words them.
+        let (req, env) = parse_request(r#"{"op":"stats","id":1} trailing"#);
+        assert_eq!(
+            req.unwrap_err().message,
+            format!(
+                "invalid JSON: {}",
+                Json::parse(r#"{"op":"stats","id":1} trailing"#).unwrap_err()
+            )
+        );
+        assert_eq!(env, Envelope::default());
     }
 
     #[test]
     fn fast_parser_duplicate_keys_first_occurrence_wins() {
         let (req, env) =
-            parse_request_fast(r#"{"op":"eval","session":"a","session":"b","id":1,"id":2}"#)
-                .unwrap();
-        assert_eq!(req, FastRequest::Eval { session: "a" });
-        assert_eq!(env.id, Some("1"));
-        // A null first occurrence pins the field to "absent" — the tree
-        // path then owns the missing-field error.
-        assert!(parse_request_fast(r#"{"op":"eval","session":null,"session":"b"}"#).is_none());
+            parse_request(r#"{"op":"eval","session":"a","session":"b","id":1,"id":2}"#);
+        assert_eq!(
+            req.unwrap(),
+            Request::Eval {
+                session: "a".into()
+            }
+        );
+        assert_eq!(env.id.as_deref(), Some("1"));
+        // A null first occurrence pins the field to "absent".
+        let (req, _) = parse_request(r#"{"op":"eval","session":null,"session":"b"}"#);
+        assert_eq!(
+            req.unwrap_err().message,
+            "missing required field \"session\""
+        );
+        // ... except for a decide's value, where null is a wrong type.
+        let (req, _) =
+            parse_request(r#"{"op":"decide","session":"s","name":"n","value":null,"value":1}"#);
+        assert_eq!(
+            req.unwrap_err().message,
+            "field \"value\" must be a scalar or tagged value, got null"
+        );
     }
 
     #[test]
     fn fast_error_rendering_matches_the_tree_serializer() {
         let err = ProtocolError::overloaded("connection cap reached", 200);
-        let tree = foundation::json::encode(&err_response(&Some(Json::Int(9)), &err));
-        let mut out = Vec::new();
-        render_err_into(&mut out, Some("9"), &err);
-        assert_eq!(String::from_utf8(out).unwrap(), tree);
-
-        let err = ProtocolError::malformed("bad");
-        let tree = foundation::json::encode(&err_response(&Some(Json::Str("r".into())), &err));
-        let mut out = Vec::new();
-        render_err_into(&mut out, Some("\"r\""), &err);
-        assert_eq!(String::from_utf8(out).unwrap(), tree);
+        let tree = Json::Object(vec![
+            ("ok".into(), Json::Bool(false)),
+            ("id".into(), Json::Str("r".into())),
+            ("code".into(), Json::Str("DSL309".into())),
+            ("error".into(), Json::Str(err.message.clone())),
+            ("retry_after_ms".into(), Json::Int(200)),
+        ]);
+        assert_eq!(
+            err_line(Some("\"r\""), &err),
+            foundation::json::encode(&tree)
+        );
     }
 
     #[test]
@@ -918,11 +832,20 @@ mod tests {
         for v in [
             Value::Int(42),
             Value::Real(2.5),
-            Value::Text("x".into()),
+            Value::Text("x\"y".into()),
             Value::Flag(true),
         ] {
-            let j = value_to_json(&v);
-            assert_eq!(value_from_json(&j).unwrap(), v);
+            let mut rendered = Vec::new();
+            write_value(&mut Writer::new(&mut rendered), &v);
+            let line = format!(
+                r#"{{"op":"decide","session":"s","name":"n","value":{}}}"#,
+                String::from_utf8(rendered).unwrap()
+            );
+            let (req, _) = parse_request(&line);
+            let Ok(Request::Decide { value, .. }) = req else {
+                panic!("{line} did not decode");
+            };
+            assert_eq!(value.to_value(), v);
         }
     }
 }

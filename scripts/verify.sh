@@ -90,20 +90,18 @@ if [ "$SCALE_ELAPSED" -gt 120 ]; then
 fi
 echo "    1M-core store built and queried in ${SCALE_ELAPSED}s"
 
-echo "==> wire gate: counting allocator, codec parity, both wire engines"
-# The zero-copy wire path must stay allocation-free in steady state at
+echo "==> wire gate: counting allocator, codec parity, recorded conversations"
+# The request pipeline must stay allocation-free in steady state at
 # any pool size (the metered regions never cross the pool, so the
-# counts must hold at DSE_THREADS=1 and =8), and the borrowed
-# reader/writer must stay byte-identical to the tree-codec oracle on
-# golden and fuzzed streams.
+# counts must hold at DSE_THREADS=1 and =8), the borrowed reader/writer
+# must stay byte-identical to the tree codec, and the engine must answer
+# the smoke and wire-fuzz scripts exactly as their goldens record.
 for threads in 1 8; do
     echo "    DSE_THREADS=$threads wire_alloc"
     DSE_THREADS=$threads cargo test -q --offline --test wire_alloc > /dev/null
 done
-echo "    json_wire (codec + transcript differentials)"
+echo "    json_wire (codec parity + smoke and wire-fuzz goldens)"
 cargo test -q --offline --test json_wire > /dev/null
-echo "    server suite under DSE_WIRE_ENGINE=tree (oracle path stays green)"
-DSE_WIRE_ENGINE=tree cargo test -q --offline --test server > /dev/null
 
 echo "==> server smoke gate: scripted conversation vs golden transcript"
 SMOKE_DIR=$(mktemp -d)

@@ -1,21 +1,23 @@
-//! Differential proof that the zero-copy wire codec and the original
-//! tree codec are the same codec.
+//! The wire codec and the daemon's one request pipeline, pinned from
+//! three directions:
 //!
-//! The borrowed pull-parser (`json::Reader`) and the tree-free
-//! serializer (`json::Writer`) replace the `Json`-tree codec on the
-//! server hot path, with the tree codec retained as the oracle (the
-//! `DSE_WIRE_ENGINE` pattern). These tests pin the two implementations
-//! together from three directions:
-//!
-//! 1. seeded random `Json` trees round-trip through (old parser → new
-//!    writer) and (new reader → old serializer) byte-identically;
+//! 1. seeded random `Json` trees round-trip through (tree parser →
+//!    `json::Writer`) and (`json::Reader` → tree serializer)
+//!    byte-identically;
 //! 2. 2000 seeded corrupt lines are rejected by **both** parsers, each
-//!    carrying a source position, and on lines where one parser
+//!    carrying a source position, and the request decoder words each
+//!    rejection exactly as `Json::parse` does; on lines where one parser
 //!    accepts, the other accepts the same value;
-//! 3. two engines — one on the borrowed wire path, one forced onto the
-//!    tree oracle — answer the golden smoke conversation and a seeded
-//!    random protocol stream with byte-identical responses.
+//! 3. the engine answers two recorded conversations byte for byte:
+//!    `tests/golden/server_smoke.golden` and
+//!    `tests/golden/wire_fuzz.golden`. The fuzz golden was recorded from
+//!    the earlier tree-codec request path before it was deleted; its
+//!    script is a seeded protocol stream plus one hostile line per
+//!    decoder branch (syntax errors, non-objects, wrong-typed and
+//!    missing fields, integral floats, exotic ids, escapes, tagged
+//!    values, duplicate keys, `report`/`invalidate`/`shutdown`).
 
+use design_space_layer::dse_server::protocol::parse_request;
 use design_space_layer::foundation::json::{self, Json, Reader};
 use design_space_layer::foundation::rng::{Rng, SeedableRng, StdRng};
 
@@ -143,6 +145,19 @@ fn both_parsers_reject_the_same_corrupt_lines_with_a_position() {
         };
         let old = Json::parse(&line);
         let new = Reader::parse_document(line.as_bytes());
+        // The request decoder words syntax errors as the tree parser does.
+        let decoded = parse_request(&line).0.err().map(|e| e.message);
+        match &old {
+            Err(eo) => assert_eq!(
+                decoded,
+                Some(format!("invalid JSON: {eo}")),
+                "decoder worded {line:?} differently"
+            ),
+            Ok(_) => assert!(
+                !decoded.is_some_and(|m| m.starts_with("invalid JSON")),
+                "decoder rejected valid JSON {line:?}"
+            ),
+        }
         match (old, new) {
             (Err(eo), Err(en)) => {
                 assert!(
@@ -164,51 +179,61 @@ fn both_parsers_reject_the_same_corrupt_lines_with_a_position() {
     }
 }
 
-// ---- engine-level differential transcript ------------------------------
+// ---- recorded conversations -----------------------------------------------
 
-fn engine_pair() -> (dse_server::Engine, dse_server::Engine) {
-    // `wire_tree` latches at build time, so flipping the env var around
-    // construction yields one engine per path.
-    std::env::set_var(dse_server::engine::WIRE_ENGINE_ENV, "tree");
-    let tree = dse_server::EngineBuilder::new(techlib::Technology::g10_035())
-        .with_shipped_layers()
-        .build()
-        .expect("tree engine builds");
-    std::env::remove_var(dse_server::engine::WIRE_ENGINE_ENV);
-    let fast = dse_server::EngineBuilder::new(techlib::Technology::g10_035())
-        .with_shipped_layers()
-        .build()
-        .expect("fast engine builds");
-    (tree, fast)
-}
-
-fn assert_transcripts_match(lines: &[String]) {
-    let (tree, fast) = engine_pair();
-    for (i, line) in lines.iter().enumerate() {
-        let expected = tree.handle_line_tree(line);
-        let got = fast.handle_line(line);
-        assert_eq!(
-            expected, got,
-            "line {i} diverged between tree and fast engines: {line:?}"
-        );
-    }
-}
-
-#[test]
-fn golden_smoke_conversation_is_byte_identical_on_both_paths() {
-    let script = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/server_smoke.script"
-    ))
-    .expect("golden script exists");
-    let lines: Vec<String> = script
+/// The non-comment, non-blank lines of a file under `tests/golden/`.
+fn golden_lines(name: &str) -> Vec<String> {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{path}: {e}"))
         .lines()
         .map(str::trim)
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
         .map(str::to_owned)
-        .collect();
+        .collect()
+}
+
+/// Replays `<name>.script` through one fresh engine (shipped layers, no
+/// journal), one line at a time, and diffs every reply against
+/// `<name>.golden`.
+fn assert_conversation_matches_golden(name: &str) -> Vec<String> {
+    let engine = dse_server::EngineBuilder::new(techlib::Technology::g10_035())
+        .with_shipped_layers()
+        .build()
+        .expect("engine builds");
+    let lines = golden_lines(&format!("{name}.script"));
+    let golden = golden_lines(&format!("{name}.golden"));
+    assert_eq!(lines.len(), golden.len(), "{name}: one reply per request");
+    for (i, (line, want)) in lines.iter().zip(&golden).enumerate() {
+        assert_eq!(
+            &engine.handle_line(line),
+            want,
+            "{name} line {i} diverged from the golden: {line:?}"
+        );
+    }
+    lines
+}
+
+#[test]
+fn golden_smoke_conversation_matches_the_recorded_transcript() {
+    let lines = assert_conversation_matches_golden("server_smoke");
     assert!(lines.len() >= 20, "golden script unexpectedly short");
-    assert_transcripts_match(&lines);
+}
+
+#[test]
+fn wire_fuzz_conversation_matches_the_recorded_transcript() {
+    let lines = assert_conversation_matches_golden("wire_fuzz");
+    // The script opens with the seeded stream, then the hostile lines.
+    let seeded = random_protocol_stream(0x5EED_F00D, 600);
+    assert_eq!(
+        &lines[..seeded.len()],
+        &seeded[..],
+        "seeded section drifted"
+    );
+    assert!(
+        lines.len() > seeded.len() + 150,
+        "hostile section unexpectedly short"
+    );
 }
 
 /// A seeded stream of plausible-to-hostile protocol lines: valid hot
@@ -232,8 +257,7 @@ fn random_protocol_stream(seed: u64, n: usize) -> Vec<String> {
             7 => format!(r#"{{"op":"eval","session":"{session}"}}"#),
             8 => format!(r#"{{"op":"close","session":"{session}"}}"#),
             9 => r#"{"op":"stats"}"#.to_owned(),
-            // Hostile shapes: every one must fall back (or error) the
-            // same way on both paths.
+            // Hostile shapes: missing fields, duplicate keys, extreme ids.
             10 => format!(r#"{{"op":"decide","session":"{session}","value":768}}"#),
             11 => format!(
                 r#"{{"op":"decide","op":"stats","session":"{session}","name":"EOL","value":1,"id":{i}}}"#
@@ -244,9 +268,4 @@ fn random_protocol_stream(seed: u64, n: usize) -> Vec<String> {
         lines.push(line);
     }
     lines
-}
-
-#[test]
-fn seeded_protocol_fuzz_is_byte_identical_on_both_paths() {
-    assert_transcripts_match(&random_protocol_stream(0x5EED_F00D, 600));
 }

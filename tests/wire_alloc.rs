@@ -8,15 +8,14 @@
 //!
 //! What is pinned down:
 //!
-//! * the borrowed request parser performs **zero** allocations on every
-//!   hot-op line;
+//! * the request decoder performs **zero** allocations on a canonical
+//!   line of every one of the 11 ops;
 //! * a warm `stats` round-trip through `handle_line_into` with a reused
-//!   response buffer performs **zero** allocations end to end — parse,
+//!   response buffer performs **zero** allocations end to end — decode,
 //!   dispatch, render;
 //! * a warm `decide` round-trip allocates only what the session core
-//!   needs: strictly fewer allocations than the tree-codec oracle for
-//!   the same request, and within a fixed small budget so codec
-//!   allocations cannot silently creep back in;
+//!   needs: it stays within a fixed small budget, so codec allocations
+//!   cannot silently creep back in;
 //! * a warm pipelined burst of 32 `stats` lines through the daemon's
 //!   serving loop performs **zero** allocations: serving 1 burst and
 //!   serving 50 bursts cost exactly the same.
@@ -80,11 +79,11 @@ fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 #[test]
 fn wire_codec_is_allocation_free_in_steady_state() {
     use design_space_layer::dse_server::daemon::serve_connection;
-    use design_space_layer::dse_server::protocol::parse_request_fast;
-    use design_space_layer::dse_server::{engine::WIRE_ENGINE_ENV, EngineBuilder};
+    use design_space_layer::dse_server::protocol::parse_request;
+    use design_space_layer::dse_server::EngineBuilder;
 
-    // -- the borrowed parser never touches the heap ----------------------
-    let hot_lines = [
+    // -- the decoder never touches the heap on canonical lines -----------
+    let canonical_lines = [
         r#"{"op":"stats"}"#,
         r#"{"op":"open","session":"a","snapshot":"crypto"}"#,
         r#"{"op":"decide","session":"a","name":"EOL","value":768,"id":"r1"}"#,
@@ -94,46 +93,36 @@ fn wire_codec_is_allocation_free_in_steady_state() {
         r#"{"op":"surviving_cores","session":"a","limit":4,"offset":2}"#,
         r#"{"op":"viable","session":"a","name":"ImplementationStyle","id":17}"#,
         r#"{"op":"close","session":"a"}"#,
+        r#"{"op":"report","session":"a","id":3}"#,
+        r#"{"op":"invalidate","tool":"BehaviorDelayEstimator"}"#,
+        r#"{"op":"shutdown","id":null}"#,
     ];
-    for line in hot_lines {
-        let (n, parsed) = allocations_in(|| parse_request_fast(line).is_some());
-        assert!(parsed, "hot-op line must take the fast path: {line}");
-        assert_eq!(n, 0, "parse_request_fast allocated {n}× on {line}");
+    for line in canonical_lines {
+        let (n, decoded) = allocations_in(|| parse_request(line).0.is_ok());
+        assert!(decoded, "canonical line must decode: {line}");
+        assert_eq!(n, 0, "parse_request allocated {n}× on {line}");
     }
 
-    // -- engines: one on the wire path, one forced onto the oracle -------
-    std::env::set_var(WIRE_ENGINE_ENV, "tree");
-    let tree = EngineBuilder::new(techlib::Technology::g10_035())
+    let engine = EngineBuilder::new(techlib::Technology::g10_035())
         .with_shipped_layers()
         .build()
-        .expect("tree engine builds");
-    std::env::remove_var(WIRE_ENGINE_ENV);
-    let fast = EngineBuilder::new(techlib::Technology::g10_035())
-        .with_shipped_layers()
-        .build()
-        .expect("fast engine builds");
+        .expect("engine builds");
 
     // -- a warm stats round-trip performs ZERO allocations ---------------
     let mut out = Vec::new();
     for _ in 0..16 {
         out.clear();
-        fast.handle_line_into(r#"{"op":"stats"}"#, &mut out); // warm-up
+        engine.handle_line_into(r#"{"op":"stats"}"#, &mut out); // warm-up
     }
     let (stats_allocs, ()) = allocations_in(|| {
         for _ in 0..100 {
             out.clear();
-            fast.handle_line_into(r#"{"op":"stats"}"#, &mut out);
+            engine.handle_line_into(r#"{"op":"stats"}"#, &mut out);
         }
     });
     assert_eq!(
         stats_allocs, 0,
         "warm stats round-trips allocated {stats_allocs}× over 100 requests"
-    );
-    let (tree_stats_allocs, _) =
-        allocations_in(|| tree.handle_line_tree(r#"{"op":"stats"}"#));
-    assert!(
-        tree_stats_allocs > 0,
-        "oracle sanity: the tree codec allocates on stats"
     );
 
     // -- a warm burst through the serving loop performs ZERO allocations
@@ -144,7 +133,7 @@ fn wire_codec_is_allocation_free_in_steady_state() {
     // never has to grow.
     for _ in 0..10_000 {
         out.clear();
-        fast.handle_line_into(r#"{"op":"stats"}"#, &mut out);
+        engine.handle_line_into(r#"{"op":"stats"}"#, &mut out);
     }
     let burst = format!("{}\n", r#"{"op":"stats"}"#).repeat(32);
     let serve_bursts = |n: usize| {
@@ -155,7 +144,7 @@ fn wire_codec_is_allocation_free_in_steady_state() {
         assert!(reader.capacity() >= burst.len(), "one burst per read");
         let stop = AtomicBool::new(false);
         let (allocs, ()) =
-            allocations_in(|| serve_connection(&fast, &mut reader, &mut io::sink(), &stop));
+            allocations_in(|| serve_connection(&engine, &mut reader, &mut io::sink(), &stop));
         allocs
     };
     let one_burst = serve_bursts(1);
@@ -168,37 +157,29 @@ fn wire_codec_is_allocation_free_in_steady_state() {
     );
 
     // -- a warm decide round-trip allocates only for the session core ----
-    for engine in [&tree, &fast] {
-        engine.handle_line(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
-    }
+    engine.handle_line(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
     let decide = r#"{"op":"decide","session":"w","name":"EOL","value":768}"#;
     let retract = r#"{"op":"retract","session":"w"}"#;
     for _ in 0..16 {
         out.clear();
-        fast.handle_line_into(decide, &mut out); // warm-up
+        engine.handle_line_into(decide, &mut out); // warm-up
         out.clear();
-        fast.handle_line_into(retract, &mut out);
+        engine.handle_line_into(retract, &mut out);
     }
-    let (fast_decide, ()) = allocations_in(|| {
+    let (decide_allocs, ()) = allocations_in(|| {
         out.clear();
-        fast.handle_line_into(decide, &mut out);
+        engine.handle_line_into(decide, &mut out);
     });
-    fast.handle_line(retract);
-    let (tree_decide, _) = allocations_in(|| tree.handle_line_tree(decide));
-    tree.handle_line_tree(retract);
+    engine.handle_line(retract);
+    // The session core legitimately allocates (decision log entry,
+    // owned value, focus path); the budget below holds the codec at
+    // zero — re-adding a tree parse or `format!`-style rendering blows
+    // past it. Measured: 20 allocations, all in the session core. A tree
+    // parse alone adds 10+, so the budget still trips on any codec
+    // regression.
     assert!(
-        fast_decide < tree_decide,
-        "wire path must allocate strictly less than the oracle on decide: \
-         {fast_decide} vs {tree_decide}"
-    );
-    // The session core legitimately allocates (state clone, journal
-    // record, focus path); the budget below holds the codec at zero —
-    // re-adding tree parse or `format!`-style rendering blows past it.
-    // Measured: ~26 allocations, all in the session core. A tree parse
-    // alone adds 10+, so the budget still trips on any codec regression.
-    assert!(
-        fast_decide <= 32,
-        "warm decide round-trip allocated {fast_decide}× — codec \
+        decide_allocs <= 32,
+        "warm decide round-trip allocated {decide_allocs}× — codec \
          allocations are creeping back into the wire path"
     );
 }
