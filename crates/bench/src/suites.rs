@@ -147,11 +147,14 @@ pub fn exploration() -> Harness {
 
 /// Million-core scale: the columnar `CoreStore` over the seeded library
 /// generator — cold index builds, AND-merge narrowing queries, and the
-/// incremental decide/retract path against the legacy from-scratch scan
-/// (asserted ≥10× faster in-suite, mirroring the `solve` suite's gate).
+/// incremental decide/retract path against the from-scratch scan
+/// reference in `dse_library::scan_oracle` (asserted ≥10× faster
+/// in-suite, mirroring the `solve` suite's gate).
 pub fn explore_scale() -> Harness {
+    use dse::session::ExplorationSession;
+    use dse_library::core_store::roster;
     use dse_library::synthetic::{synthetic_core_space, synthetic_cores, CoreSpaceSpec};
-    use dse_library::{CoreStore, ExplorerEngine};
+    use dse_library::{scan_oracle, CoreStore};
 
     let mut h = Harness::new("explore_scale");
     for (label, cores) in [("1k", 1_000usize), ("100k", 100_000), ("1M", 1_000_000)] {
@@ -168,7 +171,6 @@ pub fn explore_scale() -> Harness {
         // option toggles per iteration so the cursor can never answer
         // from its memo — every round pays one retract + one AND-merge.
         let mut exp = Explorer::new(&space, root, &library);
-        exp.set_engine(ExplorerEngine::Columnar);
         let mut flip = false;
         h.bench(format!("explore_scale/and_query_{label}"), || {
             flip = !flip;
@@ -195,21 +197,21 @@ pub fn explore_scale() -> Harness {
                 })
                 .median_ns;
 
-            // …versus the legacy from-scratch scan answering the same
+            // …versus the from-scratch scan reference answering the same
             // queries.
-            let mut scan = Explorer::new(&space, root, &library);
-            scan.set_engine(ExplorerEngine::Scan);
+            let roster = roster(&[&library]);
+            let mut session = ExplorationSession::new(&space, root);
             let mut flip = false;
             let scratch = h
                 .bench("explore_scale/from_scratch_1M", || {
                     flip = !flip;
                     let option = if flip { "o1" } else { "o2" };
-                    scan.session.decide("P0", Value::from(option)).unwrap();
+                    session.decide("P0", Value::from(option)).unwrap();
                     black_box((
-                        scan.surviving_count(),
-                        scan.merit_range(&FigureOfMerit::AreaUm2),
+                        scan_oracle::surviving_cores(&roster, &session).len(),
+                        scan_oracle::merit_range(&roster, &session, &FigureOfMerit::AreaUm2),
                     ));
-                    scan.session.undo().unwrap();
+                    session.undo().unwrap();
                 })
                 .median_ns;
             assert!(
@@ -808,8 +810,8 @@ fn answer_burst(engine: &dse_server::Engine, lines: &[String], out: &mut Vec<u8>
 /// The daemon's request pipeline, in process: decode, dispatch and
 /// render through `Engine::handle_line_into` into one reused buffer.
 ///
-/// Three shapes: the `stats` round-trip (pure codec), a decide
-/// round-trip on a live session (the hot interactive op) and a
+/// Three shapes: the `stats` round-trip (pure codec), a decide plus
+/// retract round-trip on a live session (the hot interactive op) and a
 /// 32-session pipelined batch answered the way the daemon answers a
 /// burst. The row names keep their `_fast` suffix so `baseline
 /// --compare` stays continuous with earlier baselines.
@@ -830,12 +832,16 @@ pub fn wire() -> Harness {
         black_box(&out);
     });
 
-    // A decide round-trip on a live session: the hot interactive op.
+    // A decide and its retract on a live session: the hot interactive
+    // op. Retracting every round keeps each decide a real decide (a
+    // repeat would time the "already decided" rejection instead).
     engine.handle_line(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
     let decide = r#"{"op":"decide","session":"w","name":"EOL","value":768}"#;
-    h.bench("wire/decide_roundtrip_fast", || {
+    let retract = r#"{"op":"retract","session":"w"}"#;
+    h.bench("wire/decide_retract_roundtrip_fast", || {
         out.clear();
         engine.handle_line_into(black_box(decide), &mut out);
+        engine.handle_line_into(black_box(retract), &mut out);
         black_box(&out);
     });
 

@@ -95,18 +95,6 @@ pub enum DomainEngine {
     Exhaustive,
 }
 
-impl DomainEngine {
-    /// Engine selection from the environment: set
-    /// `DSE_ANALYZE_ENGINE=exhaustive` to force the legacy oracle;
-    /// anything else (including unset) selects propagation.
-    pub fn from_env() -> DomainEngine {
-        match std::env::var("DSE_ANALYZE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("exhaustive") => DomainEngine::Exhaustive,
-            _ => DomainEngine::Propagation,
-        }
-    }
-}
-
 /// An analysis [`Report`] plus the solver-side work counters behind it
 /// (zero under the exhaustive oracle).
 #[derive(Debug, Clone)]
@@ -119,13 +107,14 @@ pub struct Analysis {
 }
 
 /// Runs every analysis pass over `space` and returns the combined,
-/// deduplicated, severity-sorted report. Engine selection follows
-/// [`DomainEngine::from_env`].
+/// deduplicated, severity-sorted report, proving the domain passes with
+/// the propagation engine.
 pub fn analyze(space: &DesignSpace) -> Report {
-    analyze_with_engine(space, DomainEngine::from_env())
+    analyze_with_engine(space, DomainEngine::Propagation)
 }
 
-/// [`analyze`] with an explicit domain-pass engine.
+/// [`analyze`] with an explicit domain-pass engine (the differential
+/// tests pass [`DomainEngine::Exhaustive`] as the oracle).
 pub fn analyze_with_engine(space: &DesignSpace, engine: DomainEngine) -> Report {
     analyze_detailed(space, engine).report
 }

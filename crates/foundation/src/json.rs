@@ -157,120 +157,27 @@ impl Json {
 
     /// Parses a JSON document. The whole input must be consumed.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser::new(text);
-        p.skip_ws();
-        let v = p.value(0)?;
-        p.skip_ws();
-        if p.pos < p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
-        Ok(v)
+        Reader::parse_document(text.as_bytes())
     }
 
     /// Two-space-indented serialization.
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out
+        self.rendered(Some(0))
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => out.push_str(fmt_i64(&mut [0u8; I64_BUF], *i)),
-            Json::Float(x) => {
-                if x.is_finite() {
-                    // `{:?}` keeps a trailing `.0` on integral floats, so the
-                    // reader can't silently lose the number's float-ness.
-                    out.push_str(fmt_f64(&mut [0u8; F64_BUF], *x));
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, level + 1);
-                    item.write(out, indent, level + 1);
-                }
-                newline_indent(out, indent, level);
-                out.push(']');
-            }
-            Json::Object(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, level + 1);
-                    write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, level + 1);
-                }
-                newline_indent(out, indent, level);
-                out.push('}');
-            }
-        }
+    /// The tree rendered by [`write_json`] (see there for `indent`).
+    fn rendered(&self, indent: Option<usize>) -> String {
+        let mut out = Vec::new();
+        write_json(&mut out, self, indent);
+        String::from_utf8(out).expect("JSON rendering is UTF-8")
     }
 }
 
 /// Compact serialization (`to_string()` comes with it via `ToString`).
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
+        f.write_str(&self.rendered(None))
     }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, level: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * level));
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    // Every byte that needs escaping is single-byte ASCII, so slicing `s`
-    // at escape positions always lands on char boundaries.
-    out.push('"');
-    let bytes = s.as_bytes();
-    let mut safe_from = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let class = escape_class(b);
-        if class == 0 {
-            continue;
-        }
-        out.push_str(&s[safe_from..i]);
-        safe_from = i + 1;
-        if class == b'u' {
-            out.push_str("\\u00");
-            out.push(HEX_DIGITS[(b >> 4) as usize] as char);
-            out.push(HEX_DIGITS[(b & 0xf) as usize] as char);
-        } else {
-            out.push('\\');
-            out.push(class as char);
-        }
-    }
-    out.push_str(&s[safe_from..]);
-    out.push('"');
 }
 
 /// Byte of the two-character escapes (`\n`, `\t`, ...), `b'u'` for the
@@ -344,7 +251,7 @@ pub const I64_BUF: usize = 20;
 pub const F64_BUF: usize = 40;
 
 /// Formats `v` into the caller's stack buffer without allocating, returning
-/// the rendered digits (itoa-style; shared by [`Json::to_string`] and
+/// the rendered digits (itoa-style; shared by [`write_json`] and
 /// [`Writer`]).
 pub fn fmt_i64(buf: &mut [u8; I64_BUF], v: i64) -> &str {
     let mut n = v;
@@ -391,278 +298,18 @@ pub fn fmt_f64(buf: &mut [u8; F64_BUF], v: f64) -> &str {
     std::str::from_utf8(&buf[..len]).expect("float rendering is ASCII")
 }
 
-const MAX_DEPTH: usize = 128;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    line_start: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            line_start: 0,
-        }
-    }
-
-    fn err(&self, msg: impl Into<String>) -> JsonError {
-        JsonError::parse(msg, self.line, self.pos - self.line_start + 1)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-            self.line_start = self.pos;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.err(format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("maximum nesting depth exceeded"));
-        }
-        match self.peek() {
-            None => Err(self.err("unexpected end of input")),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character {:?}", c as char))),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(format!("expected {word:?}")))
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Json::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Array(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or ']' in array"));
-                }
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Json::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected string key in object"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value(depth + 1)?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Object(members)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or '}' in object"));
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0c}'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: a low surrogate must follow.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired high surrogate"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => return Err(self.err("invalid unicode escape")),
-                        }
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Re-decode the UTF-8 sequence starting at `b`.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid UTF-8 in string")),
-                    };
-                    if start + len > self.bytes.len() {
-                        return Err(self.err("truncated UTF-8 in string"));
-                    }
-                    match std::str::from_utf8(&self.bytes[start..start + len]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid UTF-8 in string")),
-                    }
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = match self.bump() {
-                Some(b @ b'0'..=b'9') => (b - b'0') as u32,
-                Some(b @ b'a'..=b'f') => (b - b'a' + 10) as u32,
-                Some(b @ b'A'..=b'F') => (b - b'A' + 10) as u32,
-                _ => return Err(self.err("invalid \\u escape (need 4 hex digits)")),
-            };
-            v = v * 16 + d;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        match self.peek() {
-            Some(b'0') => {
-                self.bump();
-            }
-            Some(b'1'..=b'9') => {
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.bump();
-                }
-            }
-            _ => return Err(self.err("invalid number")),
-        }
-        let mut is_float = false;
-        if self.peek() == Some(b'.') {
-            is_float = true;
-            self.bump();
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected digit after decimal point"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.bump();
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            is_float = true;
-            self.bump();
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.bump();
-            }
-            if !matches!(self.peek(), Some(b'0'..=b'9')) {
-                return Err(self.err("expected digit in exponent"));
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.bump();
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Json::Int(i));
-            }
-        }
-        match text.parse::<f64>() {
-            Ok(x) => Ok(Json::Float(x)),
-            Err(_) => Err(self.err("number out of range")),
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Zero-copy wire codec: a borrowing pull-parser and a tree-free writer.
+// The one parser and the one serializer.
 //
-// `Reader`/`Writer` are the hot-path counterparts of `Json::parse` /
-// `Json::to_string`: the reader hands out `&str` slices of the input
-// wherever no escape forces an owned copy, and the writer serializes
-// straight into a caller-owned `Vec<u8>` so a warm buffer round-trips
-// with zero allocations. The tree codec above stays untouched and serves
-// as the differential oracle (`tests/json_wire.rs`).
+// `Reader` is a borrowing pull-parser: `Json::parse` is
+// `Reader::parse_document`, and the daemon's request decoder walks the
+// same reader field by field, handing out `&str` slices of the input
+// wherever no escape forces an owned copy. `write_json` renders every
+// `Json` tree (compact and pretty) into a `Vec<u8>`, and `Writer` streams
+// tree-free replies through the same escaper, so a warm buffer
+// round-trips with zero allocations.
+
+const MAX_DEPTH: usize = 128;
 
 use std::borrow::Cow;
 
@@ -676,11 +323,11 @@ pub enum Number {
     Float(f64),
 }
 
-/// A borrowing pull-parser over a byte slice.
+/// A borrowing pull-parser over a byte slice, and the one JSON parser.
 ///
-/// Accepts exactly the same documents as [`Json::parse`] and reports
-/// errors with the same 1-based line/column positions (computed lazily,
-/// so the happy path never tracks lines). Strings come back as
+/// [`Json::parse`] is [`Reader::parse_document`]. Errors carry 1-based
+/// line/column positions, computed lazily from the consumed prefix so
+/// the happy path never tracks lines. Strings come back as
 /// [`Cow::Borrowed`] slices of the input unless an escape sequence forces
 /// an owned copy.
 #[derive(Debug)]
@@ -695,8 +342,8 @@ impl<'a> Reader<'a> {
         Reader { bytes, pos: 0 }
     }
 
-    /// Parses a whole document into a [`Json`] tree — the `&[u8]`
-    /// equivalent of [`Json::parse`], built on the pull-parser.
+    /// Parses a whole document into a [`Json`] tree (what
+    /// [`Json::parse`] runs).
     pub fn parse_document(bytes: &'a [u8]) -> Result<Json, JsonError> {
         let mut r = Reader::new(bytes);
         r.skip_ws();
@@ -783,8 +430,8 @@ impl<'a> Reader<'a> {
                     return Ok(None);
                 }
                 Some(_) => return Err(self.err("expected ',' or '}' in object")),
-                // At end of input `Json::parse` reports the column of the
-                // last byte, not one past it.
+                // At end of input the error points at the last byte, not
+                // one past it, as in `read_value`.
                 None => {
                     self.pos = self.pos.saturating_sub(1);
                     return Err(self.err("expected ',' or '}' in object"));
@@ -803,8 +450,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a string token. Escape-free strings borrow from the input;
-    /// escapes fall back to an owned decode with [`Json::parse`]'s exact
-    /// semantics.
+    /// escapes fall back to an owned decode.
     pub fn read_str(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let start = self.pos;
@@ -1119,9 +765,14 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Serializes a [`Json`] tree compactly into `out` without any
-/// intermediate allocation — byte-identical to `v.to_string()`.
-pub fn write_json(out: &mut Vec<u8>, v: &Json) {
+/// Serializes a [`Json`] tree into `out` — the one tree serializer behind
+/// `to_string()`, [`Json::to_string_pretty`], [`encode`],
+/// [`encode_pretty`] and [`Writer::json_value`]. `indent` is `None` for
+/// the compact form, or `Some(level)` for the two-space pretty form
+/// starting at nesting `level` (callers pass `Some(0)`). Empty containers
+/// render as `[]`/`{}` in both forms.
+pub fn write_json(out: &mut Vec<u8>, v: &Json, indent: Option<usize>) {
+    let inner = indent.map(|level| level + 1);
     match v {
         Json::Null => out.extend_from_slice(b"null"),
         Json::Bool(true) => out.extend_from_slice(b"true"),
@@ -1129,6 +780,8 @@ pub fn write_json(out: &mut Vec<u8>, v: &Json) {
         Json::Int(i) => out.extend_from_slice(fmt_i64(&mut [0u8; I64_BUF], *i).as_bytes()),
         Json::Float(x) => {
             if x.is_finite() {
+                // `{:?}` keeps a trailing `.0` on integral floats, so the
+                // reader can't silently lose the number's float-ness.
                 out.extend_from_slice(fmt_f64(&mut [0u8; F64_BUF], *x).as_bytes());
             } else {
                 out.extend_from_slice(b"null");
@@ -1141,7 +794,11 @@ pub fn write_json(out: &mut Vec<u8>, v: &Json) {
                 if i > 0 {
                     out.push(b',');
                 }
-                write_json(out, item);
+                line_break(out, inner);
+                write_json(out, item, inner);
+            }
+            if !items.is_empty() {
+                line_break(out, indent);
             }
             out.push(b']');
         }
@@ -1151,12 +808,25 @@ pub fn write_json(out: &mut Vec<u8>, v: &Json) {
                 if i > 0 {
                     out.push(b',');
                 }
+                line_break(out, inner);
                 escape_str_into(out, k);
-                out.push(b':');
-                write_json(out, v);
+                out.extend_from_slice(if indent.is_some() { b": " } else { b":" });
+                write_json(out, v, inner);
+            }
+            if !members.is_empty() {
+                line_break(out, indent);
             }
             out.push(b'}');
         }
+    }
+}
+
+/// The pretty form's newline plus two spaces per `level`; nothing in the
+/// compact form.
+fn line_break(out: &mut Vec<u8>, indent: Option<usize>) {
+    if let Some(level) = indent {
+        out.push(b'\n');
+        out.resize(out.len() + 2 * level, b' ');
     }
 }
 
@@ -1274,7 +944,7 @@ impl<'a> Writer<'a> {
     }
 
     /// Writes a float value (`{:?}` rendering; non-finite becomes `null`,
-    /// matching the tree serializer).
+    /// matching `write_json`).
     pub fn float_value(&mut self, x: f64) {
         self.value_separator();
         if x.is_finite() {
@@ -1309,7 +979,7 @@ impl<'a> Writer<'a> {
     /// payloads that only exist as trees, e.g. echoed request ids).
     pub fn json_value(&mut self, v: &Json) {
         self.value_separator();
-        write_json(self.out, v);
+        write_json(self.out, v, None);
     }
 }
 
@@ -1327,12 +997,12 @@ pub trait FromJson: Sized {
 
 /// Compact-encodes any [`ToJson`] value.
 pub fn encode<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string()
+    value.to_json().rendered(None)
 }
 
 /// Pretty-encodes any [`ToJson`] value.
 pub fn encode_pretty<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string_pretty()
+    value.to_json().rendered(Some(0))
 }
 
 /// Parses and decodes in one step.
@@ -1980,13 +1650,9 @@ mod tests {
 
     #[test]
     fn escaping_uses_hex_table() {
-        let s = "a\u{1}b\u{1f}c\"d\\e\nf";
-        let mut tree = String::new();
-        write_escaped(&mut tree, s);
-        assert_eq!(tree, "\"a\\u0001b\\u001fc\\\"d\\\\e\\nf\"");
         let mut wire = Vec::new();
-        escape_str_into(&mut wire, s);
-        assert_eq!(wire, tree.as_bytes());
+        escape_str_into(&mut wire, "a\u{1}b\u{1f}c\"d\\e\nf");
+        assert_eq!(wire, b"\"a\\u0001b\\u001fc\\\"d\\\\e\\nf\"");
     }
 
     #[test]
@@ -2002,28 +1668,6 @@ mod tests {
         match r.read_str().unwrap() {
             Cow::Owned(s) => assert_eq!(s, "esc\naped"),
             Cow::Borrowed(_) => panic!("escaped string must own"),
-        }
-    }
-
-    #[test]
-    fn reader_document_matches_tree_parser() {
-        for text in [
-            "null",
-            "[1,2.5,\"x\",{\"k\":[true,false,null]},-7]",
-            r#"{"op":"decide","session":"s","name":"EOL","value":768,"id":7}"#,
-            "  {  } ",
-            "1e3",
-        ] {
-            assert_eq!(
-                Reader::parse_document(text.as_bytes()).unwrap(),
-                Json::parse(text).unwrap(),
-                "{text}"
-            );
-        }
-        for bad in ["[1,]", "{\"a\" 1}", "tru", "\"\u{1}\"", "1 2", "{\"a\":}"] {
-            let old = Json::parse(bad).unwrap_err();
-            let new = Reader::parse_document(bad.as_bytes()).unwrap_err();
-            assert_eq!((old.line, old.col), (new.line, new.col), "{bad}");
         }
     }
 
@@ -2045,13 +1689,14 @@ mod tests {
 
     #[test]
     fn writer_matches_tree_serializer() {
-        let tree = Json::parse(
-            r#"{"ok":true,"id":7,"vals":[1,-2,8.0,"µ \"q\" \u0007"],"empty":{},"none":null,"ea":[]}"#,
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        write_json(&mut out, &tree);
-        assert_eq!(String::from_utf8(out).unwrap(), tree.to_string());
+        let compact = r#"{"ok":true,"id":7,"vals":[1,-2,8.0,"µ \"q\" \u0007"],"empty":{},"none":null,"ea":[]}"#;
+        let tree = Json::parse(compact).unwrap();
+        assert_eq!(tree.to_string(), compact);
+        assert_eq!(
+            tree.to_string_pretty(),
+            "{\n  \"ok\": true,\n  \"id\": 7,\n  \"vals\": [\n    1,\n    -2,\n    8.0,\n    \
+             \"µ \\\"q\\\" \\u0007\"\n  ],\n  \"empty\": {},\n  \"none\": null,\n  \"ea\": []\n}"
+        );
 
         let mut out = Vec::new();
         let mut w = Writer::new(&mut out);
@@ -2076,7 +1721,7 @@ mod tests {
         w.begin_array();
         w.end_array();
         w.end_object();
-        assert_eq!(String::from_utf8(out).unwrap(), tree.to_string());
+        assert_eq!(String::from_utf8(out).unwrap(), compact);
     }
 
     #[test]

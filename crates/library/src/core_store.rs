@@ -29,8 +29,8 @@
 //! `Int`/`Real` collapse onto one numeric key (`-0.0` normalized onto
 //! `0.0`), `NaN` matches nothing, and `Text`/`Flag` compare structurally
 //! — so posting-list hits are bit-identical to the legacy scan's
-//! verdicts. The scan is kept alive as a differential oracle behind
-//! `DSE_EXPLORER_ENGINE=scan` (see [`crate::Explorer`]).
+//! verdicts. The scan survives as reference functions in
+//! [`crate::scan_oracle`], which the differential suites call directly.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -502,8 +502,8 @@ impl CoreStore {
     /// ANDs out of `set` every core binding `property` to a value the
     /// solver proved non-viable — `analyze::solve` pruning the
     /// surviving-core bitset directly. Cores not binding the property
-    /// are untouched (lenient compliance), matching the scan fallback
-    /// in [`Explorer::solver_pruned_cores`](crate::Explorer::solver_pruned_cores).
+    /// are untouched (lenient compliance), matching the scan reference
+    /// [`scan_oracle::solver_pruned_cores`](crate::scan_oracle::solver_pruned_cores).
     pub fn prune_non_viable(&self, set: &mut BitSet, property: &str, viability: &Viability) {
         if matches!(viability, Viability::Open) {
             return;
@@ -539,8 +539,8 @@ fn posting_key_viable(key: &PostingKey, viability: &Viability) -> bool {
 }
 
 /// Whether a core's bound `value` survives the solver's `viability`
-/// verdict for its property. Shared by both engines so their pruning is
-/// identical.
+/// verdict for its property. Shared with [`crate::scan_oracle`] so the
+/// two prune identically.
 pub(crate) fn value_viable(value: &Value, viability: &Viability) -> bool {
     match viability {
         Viability::Open => true,

@@ -6,13 +6,12 @@
 //! eliminated from consideration; critical information on the surviving
 //! set (ranges of performance, area, …) is directly available.
 //!
-//! Queries run on the columnar [`CoreStore`] by default: the surviving
-//! set is a bitset maintained incrementally across `decide`/`retract`
-//! (see [`core_store`](crate::core_store)). The legacy per-query scan is
-//! kept as a differential oracle behind `DSE_EXPLORER_ENGINE=scan`
-//! (companion to `DSE_ANALYZE_ENGINE=exhaustive` on the analyzer side);
-//! both engines iterate the same deduplicated roster and are
-//! bit-identical at every `DSE_THREADS` setting.
+//! Queries run on the columnar [`CoreStore`]: the surviving set is a
+//! bitset maintained incrementally across `decide`/`retract` (see
+//! [`core_store`](crate::core_store)). [`scan_oracle`](crate::scan_oracle)
+//! answers the same queries core by core over the same deduplicated
+//! roster; the differential suites demand bit-identical answers from
+//! both at every `DSE_THREADS` setting.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -22,29 +21,8 @@ use dse::hierarchy::{CdoId, DesignSpace};
 use dse::session::ExplorationSession;
 
 use crate::core_record::CoreRecord;
-use crate::core_store::{roster, value_viable, CoreStore, Cursor, PAR_MIN_CORES};
+use crate::core_store::{roster, CoreStore, Cursor, PAR_MIN_CORES};
 use crate::reuse::ReuseLibrary;
-
-/// Which engine answers explorer queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExplorerEngine {
-    /// Columnar [`CoreStore`] with an incremental surviving-set cursor
-    /// (the default).
-    Columnar,
-    /// The legacy full scan over the roster — the differential oracle.
-    Scan,
-}
-
-impl ExplorerEngine {
-    /// Engine selected by `DSE_EXPLORER_ENGINE` (`scan` forces the
-    /// oracle; anything else, or unset, is columnar).
-    pub fn from_env() -> Self {
-        match std::env::var("DSE_EXPLORER_ENGINE") {
-            Ok(v) if v == "scan" => ExplorerEngine::Scan,
-            _ => ExplorerEngine::Columnar,
-        }
-    }
-}
 
 /// An exploration session transparently connected to reuse libraries.
 #[derive(Debug)]
@@ -53,14 +31,13 @@ pub struct Explorer<'a> {
     pub session: ExplorationSession<'a>,
     libraries: Vec<&'a ReuseLibrary>,
     /// Deduplicated `(vendor, name)` roster in concatenated library
-    /// order — the universe both engines iterate.
+    /// order; the store indexes cores by their position in it.
     roster: Vec<&'a CoreRecord>,
     store: Arc<CoreStore>,
     /// The incremental surviving-set cursor, re-synced to the session
     /// log at each query (decisions happen on the public `session`
     /// field, outside our sight).
     cursor: Mutex<Cursor>,
-    engine: ExplorerEngine,
 }
 
 impl<'a> Explorer<'a> {
@@ -95,28 +72,14 @@ impl<'a> Explorer<'a> {
         Explorer::assemble(session, libraries, roster, store)
     }
 
-    /// Like [`from_session`](Self::from_session), but reuses a
-    /// pre-built store (the server builds one per snapshot at load time
-    /// and shares it across every session touching that snapshot). The
-    /// store must have been built over the same libraries' roster.
-    pub fn from_session_with_store(
-        session: ExplorationSession<'a>,
-        libraries: impl IntoIterator<Item = &'a ReuseLibrary>,
-        store: Arc<CoreStore>,
-    ) -> Self {
-        let libraries: Vec<&'a ReuseLibrary> = libraries.into_iter().collect();
-        let roster = roster(&libraries);
-        debug_assert_eq!(roster.len(), store.len(), "store/roster mismatch");
-        Explorer::assemble(session, libraries, roster, store)
-    }
-
-    /// Like [`from_session_with_store`](Self::from_session_with_store),
-    /// but also reuses a pre-built roster (see
-    /// [`crate::core_store::roster_from_indices`]), skipping the
-    /// per-construction `(vendor, name)` dedup — the hot path for a
-    /// server answering many `surviving_cores` requests against one
-    /// snapshot. The roster must be exactly what [`roster`] would
-    /// return for `libraries`, over which `store` was built.
+    /// Like [`from_session`](Self::from_session), but reuses a pre-built
+    /// roster (see [`crate::core_store::roster_from_indices`]) and store,
+    /// skipping the per-construction `(vendor, name)` dedup and index
+    /// build — the hot path for a server answering many
+    /// `surviving_cores` requests against one snapshot, which builds the
+    /// store once at load time and shares it across sessions. The roster
+    /// must be exactly what [`roster`] would return for `libraries`, over
+    /// which `store` was built.
     pub fn from_session_with_store_and_roster(
         session: ExplorationSession<'a>,
         libraries: impl IntoIterator<Item = &'a ReuseLibrary>,
@@ -141,7 +104,6 @@ impl<'a> Explorer<'a> {
             roster,
             store,
             cursor,
-            engine: ExplorerEngine::from_env(),
         }
     }
 
@@ -153,17 +115,6 @@ impl<'a> Explorer<'a> {
     /// The columnar store indexing the roster.
     pub fn store(&self) -> &Arc<CoreStore> {
         &self.store
-    }
-
-    /// The active query engine.
-    pub fn engine(&self) -> ExplorerEngine {
-        self.engine
-    }
-
-    /// Forces a query engine (differential tests pin both engines on the
-    /// same explorer and compare).
-    pub fn set_engine(&mut self, engine: ExplorerEngine) {
-        self.engine = engine;
     }
 
     /// Locks the cursor and re-syncs it to the session's decision log:
@@ -182,52 +133,22 @@ impl<'a> Explorer<'a> {
         cur
     }
 
-    /// The scan oracle: filter the roster against the session bindings,
-    /// fanning out past the parallel threshold (verdicts return in
-    /// submission order, so the list is `DSE_THREADS`-independent).
-    fn scan_survivors(&self) -> Vec<&'a CoreRecord> {
-        let filter = self.session.bindings();
-        if self.roster.len() < PAR_MIN_CORES {
-            return self
-                .roster
-                .iter()
-                .copied()
-                .filter(|c| c.complies_with(filter))
-                .collect();
-        }
-        let verdicts = foundation::par::par_map(self.roster.clone(), |c| c.complies_with(filter));
-        self.roster
-            .iter()
-            .copied()
-            .zip(verdicts)
-            .filter_map(|(c, ok)| ok.then_some(c))
-            .collect()
-    }
-
     /// Cores (across all libraries) complying with every decision made so
     /// far. Compliance is lenient: a core is only filtered on properties
     /// it actually binds.
     pub fn surviving_cores(&self) -> Vec<&'a CoreRecord> {
-        match self.engine {
-            ExplorerEngine::Scan => self.scan_survivors(),
-            ExplorerEngine::Columnar => {
-                let cur = self.synced();
-                self.store
-                    .indices(cur.surviving())
-                    .into_iter()
-                    .map(|i| self.roster[i])
-                    .collect()
-            }
-        }
+        let cur = self.synced();
+        self.records(self.store.indices(cur.surviving()))
     }
 
-    /// Number of surviving cores — O(words) on the columnar engine, no
-    /// materialization.
+    /// Roster positions back to records.
+    fn records(&self, indices: Vec<usize>) -> Vec<&'a CoreRecord> {
+        indices.into_iter().map(|i| self.roster[i]).collect()
+    }
+
+    /// Number of surviving cores — O(words), no materialization.
     pub fn surviving_count(&self) -> usize {
-        match self.engine {
-            ExplorerEngine::Scan => self.scan_survivors().len(),
-            ExplorerEngine::Columnar => self.synced().surviving().count(),
-        }
+        self.synced().surviving().count()
     }
 
     /// One page of the surviving cores: skips `offset` survivors,
@@ -235,76 +156,34 @@ impl<'a> Explorer<'a> {
     /// [`surviving_cores`](Self::surviving_cores). The server's
     /// paginated `surviving_cores` op sits on this.
     pub fn surviving_page(&self, offset: usize, limit: usize) -> Vec<&'a CoreRecord> {
-        match self.engine {
-            ExplorerEngine::Scan => self
-                .scan_survivors()
-                .into_iter()
-                .skip(offset)
-                .take(limit)
-                .collect(),
-            ExplorerEngine::Columnar => {
-                let cur = self.synced();
-                self.store
-                    .page(cur.surviving(), offset, limit)
-                    .into_iter()
-                    .map(|i| self.roster[i])
-                    .collect()
-            }
-        }
+        let cur = self.synced();
+        self.records(self.store.page(cur.surviving(), offset, limit))
     }
 
     /// The evaluation space of the surviving cores.
     pub fn evaluation_space(&self) -> EvaluationSpace {
-        let cores = self.surviving_cores();
-        if cores.len() < PAR_MIN_CORES {
-            return cores.into_iter().map(CoreRecord::eval_point).collect();
-        }
-        foundation::par::par_map(cores, CoreRecord::eval_point)
-            .into_iter()
-            .collect()
+        evaluation_space_of(self.surviving_cores())
     }
 
     /// The `(min, max)` range of a merit over the surviving cores — the
     /// "critical information on the set of reusable designs that do comply
-    /// with the decision". On the columnar engine this folds the merit
-    /// column under the surviving bitset (memoized per trail depth)
-    /// without materializing a core list.
+    /// with the decision". This folds the merit column under the
+    /// surviving bitset (memoized per trail depth) without materializing
+    /// a core list.
     pub fn merit_range(&self, merit: &FigureOfMerit) -> Option<(f64, f64)> {
-        match self.engine {
-            ExplorerEngine::Scan => self.evaluation_space().range(merit),
-            ExplorerEngine::Columnar => self.synced().range(&self.store, merit),
-        }
+        self.synced().range(&self.store, merit)
     }
 
     /// The Pareto-optimal surviving cores under `merits`.
     pub fn pareto_cores(&self, merits: &[FigureOfMerit]) -> Vec<&'a CoreRecord> {
-        let cores = self.surviving_cores();
-        let space: EvaluationSpace = cores.iter().map(|c| c.eval_point()).collect();
-        space
-            .pareto_front(merits)
-            .into_iter()
-            .map(|i| cores[i])
-            .collect()
+        pareto_of(self.surviving_cores(), merits)
     }
 
     /// Surviving cores whose `merit` is at most `bound` — requirement
     /// checks like the case study's "768-bit modmul in ≤ 8 µs".
     pub fn cores_meeting(&self, merit: &FigureOfMerit, bound: f64) -> Vec<&'a CoreRecord> {
-        match self.engine {
-            ExplorerEngine::Scan => self
-                .scan_survivors()
-                .into_iter()
-                .filter(|c| c.merit_value(merit).is_some_and(|v| v <= bound))
-                .collect(),
-            ExplorerEngine::Columnar => {
-                let cur = self.synced();
-                self.store
-                    .meeting(cur.surviving(), merit, bound)
-                    .into_iter()
-                    .map(|i| self.roster[i])
-                    .collect()
-            }
-        }
+        let cur = self.synced();
+        self.records(self.store.meeting(cur.surviving(), merit, bound))
     }
 
     /// The options of `issue` that can still survive the constraints
@@ -324,36 +203,12 @@ impl<'a> Explorer<'a> {
     /// compliance, as everywhere).
     pub fn solver_pruned_cores(&self) -> Vec<&'a CoreRecord> {
         let solver = self.session.lookahead();
-        let open = self.session.open_issues();
-        match self.engine {
-            ExplorerEngine::Columnar => {
-                let mut set = self.synced().surviving().clone();
-                for prop in &open {
-                    let viability = solver.viable(prop.name());
-                    self.store.prune_non_viable(&mut set, prop.name(), &viability);
-                }
-                self.store
-                    .indices(&set)
-                    .into_iter()
-                    .map(|i| self.roster[i])
-                    .collect()
-            }
-            ExplorerEngine::Scan => {
-                let verdicts: Vec<(&str, Viability)> = open
-                    .iter()
-                    .map(|p| (p.name(), solver.viable(p.name())))
-                    .collect();
-                self.scan_survivors()
-                    .into_iter()
-                    .filter(|c| {
-                        verdicts.iter().all(|(name, viability)| {
-                            c.binding(name)
-                                .is_none_or(|have| value_viable(have, viability))
-                        })
-                    })
-                    .collect()
-            }
+        let mut set = self.synced().surviving().clone();
+        for prop in self.session.open_issues() {
+            let viability = solver.viable(prop.name());
+            self.store.prune_non_viable(&mut set, prop.name(), &viability);
         }
+        self.records(self.store.indices(&set))
     }
 
     /// Ranks the still-open design issues by their impact on `merit`
@@ -366,13 +221,6 @@ impl<'a> Explorer<'a> {
     /// answers identically has zero impact. Issues are returned most
     /// impactful first.
     pub fn issue_impact(&self, merit: &FigureOfMerit) -> Vec<(String, f64)> {
-        match self.engine {
-            ExplorerEngine::Scan => self.issue_impact_scan(merit),
-            ExplorerEngine::Columnar => self.issue_impact_columnar(merit),
-        }
-    }
-
-    fn issue_impact_columnar(&self, merit: &FigureOfMerit) -> Vec<(String, f64)> {
         let cur = self.synced();
         let surviving = cur.surviving();
         let (sum, n) = self.store.merit_sum(surviving, merit);
@@ -399,44 +247,36 @@ impl<'a> Explorer<'a> {
         out.sort_by(|a, b| b.1.total_cmp(&a.1));
         out
     }
-
-    fn issue_impact_scan(&self, merit: &FigureOfMerit) -> Vec<(String, f64)> {
-        let cores = self.scan_survivors();
-        let overall_mean = {
-            let vals: Vec<f64> = cores.iter().filter_map(|c| c.merit_value(merit)).collect();
-            if vals.is_empty() {
-                return Vec::new();
-            }
-            vals.iter().sum::<f64>() / vals.len() as f64
-        };
-        let mut out = Vec::new();
-        for prop in self.session.open_issues() {
-            let Some(options) = prop.domain().enumerate() else {
-                continue;
-            };
-            let mut means = Vec::new();
-            for option in &options {
-                let vals: Vec<f64> = cores
-                    .iter()
-                    .filter(|c| {
-                        c.binding(prop.name())
-                            .is_some_and(|have| have.matches(option))
-                    })
-                    .filter_map(|c| c.merit_value(merit))
-                    .collect();
-                if !vals.is_empty() {
-                    means.push(vals.iter().sum::<f64>() / vals.len() as f64);
-                }
-            }
-            out.push((prop.name().to_owned(), impact_of(&means, overall_mean)));
-        }
-        out.sort_by(|a, b| b.1.total_cmp(&a.1));
-        out
-    }
 }
 
-/// Shared impact formula: relative spread of per-option means.
-fn impact_of(means: &[f64], overall_mean: f64) -> f64 {
+/// The evaluation space of `cores`, fanned out on the pool past the
+/// parallel threshold (shared with [`crate::scan_oracle`]).
+pub(crate) fn evaluation_space_of(cores: Vec<&CoreRecord>) -> EvaluationSpace {
+    if cores.len() < PAR_MIN_CORES {
+        return cores.into_iter().map(CoreRecord::eval_point).collect();
+    }
+    foundation::par::par_map(cores, CoreRecord::eval_point)
+        .into_iter()
+        .collect()
+}
+
+/// The Pareto-optimal members of `cores` under `merits`, in `cores`
+/// order (shared with [`crate::scan_oracle`]).
+pub(crate) fn pareto_of<'a>(
+    cores: Vec<&'a CoreRecord>,
+    merits: &[FigureOfMerit],
+) -> Vec<&'a CoreRecord> {
+    let space: EvaluationSpace = cores.iter().map(|c| c.eval_point()).collect();
+    space
+        .pareto_front(merits)
+        .into_iter()
+        .map(|i| cores[i])
+        .collect()
+}
+
+/// Impact formula shared with [`crate::scan_oracle`]: relative spread of
+/// per-option means.
+pub(crate) fn impact_of(means: &[f64], overall_mean: f64) -> f64 {
     if means.len() < 2 || overall_mean == 0.0 {
         0.0
     } else {
@@ -449,6 +289,7 @@ fn impact_of(means: &[f64], overall_mean: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan_oracle;
     use dse::prelude::*;
 
     fn space() -> (DesignSpace, CdoId) {
@@ -611,9 +452,9 @@ mod tests {
             assert!(pair[0].1 >= pair[1].1);
         }
         // And the scan oracle agrees exactly.
-        let mut oracle = Explorer::from_session(exp.session.clone(), [&lib]);
-        oracle.set_engine(ExplorerEngine::Scan);
-        assert_eq!(ranking, oracle.issue_impact(&FigureOfMerit::DelayNs));
+        let roster = roster(&[&lib]);
+        let oracle = scan_oracle::issue_impact(&roster, &exp.session, &FigureOfMerit::DelayNs);
+        assert_eq!(ranking, oracle);
     }
 
     #[test]
@@ -693,14 +534,9 @@ mod tests {
         // the three hardware cores.
         let pruned: Vec<&str> = exp.solver_pruned_cores().iter().map(|c| c.name()).collect();
         assert_eq!(pruned, vec!["sw"]);
-        // The scan fallback agrees exactly.
-        let mut oracle = Explorer::from_session(exp.session.clone(), [&lib]);
-        oracle.set_engine(ExplorerEngine::Scan);
-        let oracle_pruned: Vec<&str> = oracle
-            .solver_pruned_cores()
-            .iter()
-            .map(|c| c.name())
-            .collect();
+        // The scan oracle agrees exactly.
+        let oracle = scan_oracle::solver_pruned_cores(&roster(&[&lib]), &exp.session);
+        let oracle_pruned: Vec<&str> = oracle.iter().map(|c| c.name()).collect();
         assert_eq!(pruned, oracle_pruned);
     }
 }

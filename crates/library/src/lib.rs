@@ -11,7 +11,9 @@
 //!   layers and libraries can be exchanged between design environments,
 //! * [`Explorer`] — an exploration session joined with one or more reuse
 //!   libraries: every decision transparently filters the surviving cores
-//!   and exposes their evaluation-space ranges,
+//!   and exposes their evaluation-space ranges, answered by the columnar
+//!   [`CoreStore`] ([`scan_oracle`] holds the per-core scan the
+//!   differential suites compare it with),
 //! * [`crypto`] — the paper's Section-5 cryptography layer (Figs. 5, 7,
 //!   8, 10, 11, 13) with its library of hardware cores (from `hwmodel`)
 //!   and software routines (from `swmodel`),
@@ -51,11 +53,12 @@ pub mod idct;
 pub mod lint;
 mod loader;
 mod reuse;
+pub mod scan_oracle;
 pub mod synthetic;
 
 pub use core_record::CoreRecord;
 pub use core_store::{roster_from_indices, roster_indices, CoreStore};
-pub use explorer::{Explorer, ExplorerEngine};
+pub use explorer::Explorer;
 pub use lint::lint_library;
 pub use loader::{load_all_layers, load_layer, LoadedLayer, PAPER_EOL};
 pub use reuse::{LibraryError, ReuseLibrary};

@@ -773,7 +773,7 @@ mod tests {
         // Fields an op does not read are never validated.
         let (req, _) = parse_request(r#"{"op":"stats","session":5,"value":null}"#);
         assert_eq!(req.unwrap(), Request::Stats);
-        // Syntax errors are worded as the tree parser words them.
+        // Syntax errors are worded as `Json::parse` words them.
         let (req, env) = parse_request(r#"{"op":"stats","id":1} trailing"#);
         assert_eq!(
             req.unwrap_err().message,

@@ -38,9 +38,9 @@ struct Analyzed {
     elapsed: Duration,
 }
 
-fn run(name: String, space: &DesignSpace, engine: DomainEngine) -> Analyzed {
+fn run(name: String, space: &DesignSpace) -> Analyzed {
     let start = Instant::now();
-    let analysis = analyze_detailed(space, engine);
+    let analysis = analyze_detailed(space, DomainEngine::Propagation);
     Analyzed {
         name,
         report: analysis.report,
@@ -53,11 +53,10 @@ fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
     let json = std::env::args().any(|a| a == "--json");
     let stats = std::env::args().any(|a| a == "--stats");
     let synthetic = std::env::args().any(|a| a == "--synthetic");
-    let engine = DomainEngine::from_env();
 
     let mut analyzed: Vec<Analyzed> = load_all_layers(&Technology::g10_035())?
         .into_iter()
-        .map(|layer| run(layer.title.to_owned(), &layer.space, engine))
+        .map(|layer| run(layer.title.to_owned(), &layer.space))
         .collect();
     let stress;
     if synthetic {
@@ -68,7 +67,6 @@ fn main() -> Result<ExitCode, Box<dyn std::error::Error>> {
                 stress.combinations()
             ),
             &stress.space,
-            engine,
         ));
     }
 

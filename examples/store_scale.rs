@@ -15,10 +15,11 @@ use std::time::Instant;
 
 use design_space_layer::dse::eval::FigureOfMerit;
 use design_space_layer::dse::prelude::*;
+use design_space_layer::dse_library::core_store::roster;
 use design_space_layer::dse_library::synthetic::{
     synthetic_core_space, synthetic_cores, CoreSpaceSpec,
 };
-use design_space_layer::dse_library::{CoreStore, Explorer, ExplorerEngine};
+use design_space_layer::dse_library::{scan_oracle, CoreStore, Explorer};
 
 fn main() {
     let mut cores: usize = 1_000_000;
@@ -49,7 +50,6 @@ fn main() {
     println!("built columnar store ({} cores) in {:?}", store.len(), t.elapsed());
 
     let mut exp = Explorer::new(&space, root, &library);
-    exp.set_engine(ExplorerEngine::Columnar);
     let t = Instant::now();
     exp.session
         .decide("P0", Value::from("o1"))
@@ -72,8 +72,7 @@ fn main() {
         .decide("P0", Value::from("o1"))
         .expect("unconstrained decide");
     let t = Instant::now();
-    exp.set_engine(ExplorerEngine::Scan);
-    let oracle = exp.surviving_count();
+    let oracle = scan_oracle::surviving_cores(&roster(&[&library]), &exp.session).len();
     println!("scan oracle: {oracle} survivors in {:?}", t.elapsed());
     assert_eq!(count, oracle, "columnar and scan survivor counts differ");
 

@@ -21,6 +21,22 @@ echo "==> benchmark package tests: loadbench builds against the public dse-serve
 # the benchmark runs.
 cargo test --release --offline --manifest-path loadbench/Cargo.toml
 
+echo "==> env gate: no library or binary source reads an unlisted environment variable"
+# Engines are chosen in code, never by the environment. The allowed
+# reads: the pool size (par.rs), the bench knobs (bench.rs) and the
+# property-test seed and case count (check.rs's env_u64).
+ENV_READS=$(grep -rn 'env::var' src crates/*/src \
+    | grep -v '^crates/foundation/src/par\.rs:[0-9]*:.*env::var("DSE_THREADS")' \
+    | grep -v '^crates/foundation/src/bench\.rs:[0-9]*:.*env::var_os("DSE_BENCH_FAST")' \
+    | grep -v '^crates/foundation/src/bench\.rs:[0-9]*:.*env::var_os("DSE_BENCH_JSON")' \
+    | grep -v '^crates/foundation/src/check\.rs:[0-9]*:    std::env::var(name)' \
+    || true)
+if [ -n "$ENV_READS" ]; then
+    echo "    unlisted environment reads:"
+    echo "$ENV_READS"
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets --offline -- -D warnings"
 cargo clippy --all-targets --offline -- -D warnings
 
@@ -74,11 +90,8 @@ if [ "$SOLVE_ELAPSED" -gt 90 ]; then
 fi
 echo "    synthetic space diagnosed in ${SOLVE_ELAPSED}s"
 
-echo "==> explorer store gate: differential property suite under both engines"
-for engine in scan columnar; do
-    echo "    DSE_EXPLORER_ENGINE=$engine"
-    DSE_EXPLORER_ENGINE=$engine cargo test -q --offline --test explorer_store > /dev/null
-done
+echo "==> explorer store gate: columnar store vs the scan reference (dse_library::scan_oracle)"
+cargo test -q --offline --test explorer_store > /dev/null
 
 echo "==> core-store scale gate: 1M-core generator build + query (budget 120s)"
 SCALE_START=$(date +%s)
@@ -90,17 +103,17 @@ if [ "$SCALE_ELAPSED" -gt 120 ]; then
 fi
 echo "    1M-core store built and queried in ${SCALE_ELAPSED}s"
 
-echo "==> wire gate: counting allocator, codec parity, recorded conversations"
+echo "==> wire gate: counting allocator, codec goldens, recorded conversations"
 # The request pipeline must stay allocation-free in steady state at
 # any pool size (the metered regions never cross the pool, so the
-# counts must hold at DSE_THREADS=1 and =8), the borrowed reader/writer
-# must stay byte-identical to the tree codec, and the engine must answer
-# the smoke and wire-fuzz scripts exactly as their goldens record.
+# counts must hold at DSE_THREADS=1 and =8), the codec must reject the
+# seeded corrupt lines at their recorded positions, and the engine must
+# answer the smoke and wire-fuzz scripts exactly as their goldens record.
 for threads in 1 8; do
     echo "    DSE_THREADS=$threads wire_alloc"
     DSE_THREADS=$threads cargo test -q --offline --test wire_alloc > /dev/null
 done
-echo "    json_wire (codec parity + smoke and wire-fuzz goldens)"
+echo "    json_wire (codec round trip, error-position, smoke and wire-fuzz goldens)"
 cargo test -q --offline --test json_wire > /dev/null
 
 echo "==> server smoke gate: scripted conversation vs golden transcript"

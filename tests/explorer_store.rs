@@ -2,18 +2,19 @@
 //!
 //! Seeded random spaces and libraries, driven through random
 //! decide/undo/revise trails; after every step, every [`Explorer`]
-//! query answered by the columnar engine must be **bit-identical** to
-//! the legacy scan oracle (`DSE_EXPLORER_ENGINE=scan` path) — survivor
-//! lists, counts, pages, evaluation spaces, merit ranges, Pareto
-//! fronts, bound queries, issue-impact rankings and solver-pruned sets
-//! — and identical again at every `DSE_THREADS` ∈ {1, 2, 8}.
+//! query answered by the columnar store must be **bit-identical** to
+//! the per-core scan reference in [`scan_oracle`] — survivor lists,
+//! counts, pages, evaluation spaces, merit ranges, Pareto fronts, bound
+//! queries, issue-impact rankings and solver-pruned sets — and
+//! identical again at every `DSE_THREADS` ∈ {1, 2, 8}.
 
 use design_space_layer::dse::eval::FigureOfMerit;
 use design_space_layer::dse::prelude::*;
+use design_space_layer::dse_library::core_store::roster;
 use design_space_layer::dse_library::synthetic::{
     synthetic_core_space, synthetic_cores, CoreSpaceSpec,
 };
-use design_space_layer::dse_library::{CoreRecord, Explorer, ExplorerEngine, ReuseLibrary};
+use design_space_layer::dse_library::{scan_oracle, CoreRecord, Explorer, ReuseLibrary};
 use design_space_layer::foundation::par;
 use design_space_layer::foundation::rng::{Rng, SeedableRng, StdRng};
 
@@ -65,7 +66,40 @@ fn snapshot(exp: &Explorer<'_>, merits: &[FigureOfMerit], page_at: (usize, usize
     }
 }
 
-/// Runs one seeded trail, asserting scan/columnar agreement after every
+/// The same queries answered by the scan reference over `roster`.
+fn scan_snapshot(
+    roster: &[&CoreRecord],
+    session: &ExplorationSession<'_>,
+    merits: &[FigureOfMerit],
+    page_at: (usize, usize),
+) -> QuerySnapshot {
+    let survivors = scan_oracle::surviving_cores(roster, session);
+    let page: Vec<&CoreRecord> = survivors
+        .iter()
+        .copied()
+        .skip(page_at.0)
+        .take(page_at.1)
+        .collect();
+    QuerySnapshot {
+        survivors: names(&survivors),
+        count: survivors.len(),
+        page: names(&page),
+        eval_len: scan_oracle::evaluation_space(roster, session).len(),
+        ranges: merits
+            .iter()
+            .map(|m| scan_oracle::merit_range(roster, session, m))
+            .collect(),
+        pareto: names(&scan_oracle::pareto_cores(roster, session, merits)),
+        meeting: merits
+            .iter()
+            .map(|m| names(&scan_oracle::cores_meeting(roster, session, m, 5_000.0)))
+            .collect(),
+        impact: scan_oracle::issue_impact(roster, session, &merits[0]),
+        pruned: names(&scan_oracle::solver_pruned_cores(roster, session)),
+    }
+}
+
+/// Runs one seeded trail, asserting columnar/scan agreement after every
 /// step, and returns the per-step snapshots (for cross-thread-count
 /// comparison).
 fn run_trail(seed: u64) -> Vec<QuerySnapshot> {
@@ -78,6 +112,7 @@ fn run_trail(seed: u64) -> Vec<QuerySnapshot> {
         probe.cores()[0].merits().keys().copied().collect()
     };
     let mut exp = Explorer::new(&space, root, &library);
+    let roster = roster(&[&library]);
     let mut history = Vec::new();
 
     for _step in 0..12 {
@@ -102,10 +137,8 @@ fn run_trail(seed: u64) -> Vec<QuerySnapshot> {
         }
 
         let page_at = (rng.gen_range(0usize..50), rng.gen_range(1usize..40));
-        exp.set_engine(ExplorerEngine::Columnar);
         let columnar = snapshot(&exp, &merits, page_at);
-        exp.set_engine(ExplorerEngine::Scan);
-        let scan = snapshot(&exp, &merits, page_at);
+        let scan = scan_snapshot(&roster, &exp.session, &merits, page_at);
         assert_eq!(
             columnar, scan,
             "engines diverged (seed {seed}, step {_step})"
@@ -129,33 +162,20 @@ fn columnar_matches_scan_across_trails_and_thread_counts() {
     }
 }
 
-/// The env override is honored: `scan` forces the oracle, anything else
-/// stays columnar.
-#[test]
-fn engine_defaults_to_columnar() {
-    let spec = CoreSpaceSpec::sized(10);
-    let (space, root) = synthetic_core_space(&spec);
-    let library = synthetic_cores(&spec);
-    let exp = Explorer::new(&space, root, &library);
-    if std::env::var("DSE_EXPLORER_ENGINE").as_deref() == Ok("scan") {
-        assert_eq!(exp.engine(), ExplorerEngine::Scan);
-    } else {
-        assert_eq!(exp.engine(), ExplorerEngine::Columnar);
-    }
-}
-
-/// Duplicate libraries collapse to union semantics in the roster, on
-/// both engines.
+/// Duplicate libraries collapse to union semantics in the roster, for
+/// the store and the scan reference alike.
 #[test]
 fn duplicate_library_union_is_engine_independent() {
     let spec = CoreSpaceSpec::sized(300);
     let (space, root) = synthetic_core_space(&spec);
     let library = synthetic_cores(&spec);
-    let mut exp = Explorer::with_libraries(&space, root, [&library, &library]);
-    exp.set_engine(ExplorerEngine::Columnar);
+    let exp = Explorer::with_libraries(&space, root, [&library, &library]);
     assert_eq!(exp.surviving_count(), 300);
-    exp.set_engine(ExplorerEngine::Scan);
-    assert_eq!(exp.surviving_count(), 300);
+    let roster = roster(&[&library, &library]);
+    assert_eq!(
+        scan_oracle::surviving_cores(&roster, &exp.session).len(),
+        300
+    );
 }
 
 /// A second library only contributes records with novel

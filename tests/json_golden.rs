@@ -129,6 +129,22 @@ fn parse_errors_carry_line_and_column() {
     // Trailing garbage after a complete document is flagged where it starts.
     let e = Json::parse("null x").unwrap_err();
     assert_eq!((e.line, e.col), (1, 6), "{e}");
+
+    // A document cut off after a newline that follows a complete element
+    // points at the element's last byte, on its own line.
+    for (text, at) in [("[1\n", (1, 3)), ("{\"a\":1\n", (1, 7)), ("[1,2\n  ", (2, 2))] {
+        let e = Json::parse(text).unwrap_err();
+        assert_eq!((e.line, e.col), at, "{text:?}: {e}");
+    }
+}
+
+#[test]
+fn pretty_form_reproduces_a_file_written_by_it() {
+    // `BENCH_baseline.json` was written by `to_string_pretty` (no trailing
+    // newline), so re-rendering its tree must give back its exact bytes.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_baseline.json");
+    let text = std::fs::read_to_string(path).expect("BENCH_baseline.json is readable");
+    assert_eq!(Json::parse(&text).unwrap().to_string_pretty(), text);
 }
 
 #[test]

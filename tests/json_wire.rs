@@ -1,13 +1,13 @@
-//! The wire codec and the daemon's one request pipeline, pinned from
+//! The JSON codec and the daemon's one request pipeline, pinned from
 //! three directions:
 //!
-//! 1. seeded random `Json` trees round-trip through (tree parser →
-//!    `json::Writer`) and (`json::Reader` → tree serializer)
-//!    byte-identically;
-//! 2. 2000 seeded corrupt lines are rejected by **both** parsers, each
-//!    carrying a source position, and the request decoder words each
-//!    rejection exactly as `Json::parse` does; on lines where one parser
-//!    accepts, the other accepts the same value;
+//! 1. seeded random `Json` trees are a fixed point of
+//!    `encode` → `Json::parse` → `encode`;
+//! 2. seeded corrupt lines are rejected with the positions and wording
+//!    recorded in `tests/golden/json_errors.golden` (taken from the
+//!    earlier tree parser before `Json::parse` became
+//!    `Reader::parse_document`), and the request decoder words each
+//!    rejection exactly as `Json::parse` does;
 //! 3. the engine answers two recorded conversations byte for byte:
 //!    `tests/golden/server_smoke.golden` and
 //!    `tests/golden/wire_fuzz.golden`. The fuzz golden was recorded from
@@ -18,7 +18,7 @@
 //!    values, duplicate keys, `report`/`invalidate`/`shutdown`).
 
 use design_space_layer::dse_server::protocol::parse_request;
-use design_space_layer::foundation::json::{self, Json, Reader};
+use design_space_layer::foundation::json::{self, Json};
 use design_space_layer::foundation::rng::{Rng, SeedableRng, StdRng};
 
 // ---- seeded tree generator ---------------------------------------------
@@ -71,32 +71,22 @@ fn random_tree(rng: &mut StdRng, depth: usize) -> Json {
 }
 
 #[test]
-fn random_trees_roundtrip_byte_identically_between_codecs() {
+fn random_trees_roundtrip_as_a_fixed_point() {
     let mut rng = StdRng::seed_from_u64(0x11E0_C0DE);
     for case in 0..500 {
         let tree = random_tree(&mut rng, 0);
-        let old = json::encode(&tree);
-
-        // Tree-free writer serializes the same tree to the same bytes.
-        let mut new = Vec::new();
-        json::write_json(&mut new, &tree);
-        assert_eq!(old.as_bytes(), &new[..], "case {case}: writer diverged");
-
-        // Old parser → new writer round-trips to the input bytes.
-        let via_old = Json::parse(&old).expect("old parser accepts its own output");
-        let mut rewritten = Vec::new();
-        json::write_json(&mut rewritten, &via_old);
-        assert_eq!(old.as_bytes(), &rewritten[..], "case {case}: old→new roundtrip");
-
-        // New reader → old serializer round-trips to the input bytes.
-        let via_new = Reader::parse_document(old.as_bytes())
-            .expect("new reader accepts the old serializer's output");
-        assert_eq!(old, json::encode(&via_new), "case {case}: new→old roundtrip");
-        assert_eq!(via_old, via_new, "case {case}: parsed values diverged");
+        let text = json::encode(&tree);
+        let parsed = Json::parse(&text).expect("the parser accepts the serializer's output");
+        assert_eq!(parsed, tree, "case {case}: parse changed the tree");
+        assert_eq!(
+            json::encode(&parsed),
+            text,
+            "case {case}: encode is not a fixed point"
+        );
     }
 }
 
-// ---- malformed-input parity --------------------------------------------
+// ---- malformed input ------------------------------------------------------
 
 /// Mutates a valid document into a (usually) corrupt line.
 fn corrupt(rng: &mut StdRng, base: &str) -> Option<String> {
@@ -122,61 +112,62 @@ fn corrupt(rng: &mut StdRng, base: &str) -> Option<String> {
             bytes.insert(i, b',');
         }
     }
-    // Both parsers take `&str`; mutations that break UTF-8 are framing
-    // errors, rejected before either parser runs.
+    // The parser takes `&str`; mutations that break UTF-8 are framing
+    // errors, rejected before it runs.
     String::from_utf8(bytes).ok()
 }
 
 #[test]
-fn both_parsers_reject_the_same_corrupt_lines_with_a_position() {
+fn corrupt_lines_are_rejected_at_their_golden_positions() {
+    let golden = golden_lines("json_errors.golden");
     let mut rng = StdRng::seed_from_u64(0xBAD_1E5);
     let mut rejected = 0usize;
-    let mut generated = 0usize;
+    let mut index = 0usize;
     while rejected < 2000 {
-        generated += 1;
         assert!(
-            generated < 40_000,
+            index < 40_000,
             "corruption generator stopped producing rejections \
-             ({rejected} after {generated} lines)"
+             ({rejected} after {index} lines)"
         );
         let base = json::encode(&random_tree(&mut rng, 0));
-        let Some(line) = corrupt(&mut rng, &base) else {
+        let line = corrupt(&mut rng, &base);
+        index += 1;
+        let Some(line) = line else {
             continue;
         };
-        let old = Json::parse(&line);
-        let new = Reader::parse_document(line.as_bytes());
-        // The request decoder words syntax errors as the tree parser does.
+        let parsed = Json::parse(&line);
+        // The request decoder words syntax errors as `Json::parse` does.
         let decoded = parse_request(&line).0.err().map(|e| e.message);
-        match &old {
-            Err(eo) => assert_eq!(
-                decoded,
-                Some(format!("invalid JSON: {eo}")),
-                "decoder worded {line:?} differently"
-            ),
-            Ok(_) => assert!(
+        let Err(e) = parsed else {
+            assert!(
                 !decoded.is_some_and(|m| m.starts_with("invalid JSON")),
                 "decoder rejected valid JSON {line:?}"
-            ),
+            );
+            continue;
+        };
+        assert_eq!(
+            decoded,
+            Some(format!("invalid JSON: {e}")),
+            "decoder worded {line:?} differently"
+        );
+        assert!(
+            e.line >= 1 && e.col >= 1,
+            "{line:?} rejected without a position: {e}"
+        );
+        if let Some(want) = golden.get(rejected) {
+            let shown = e.to_string();
+            let message = shown
+                .strip_suffix(&format!(" at line {} column {}", e.line, e.col))
+                .expect("parse errors carry a position");
+            let got = format!("{}\t{}:{}\t{message}", index - 1, e.line, e.col);
+            assert_eq!(
+                &got, want,
+                "rejection {rejected} drifted from the golden: {line:?}"
+            );
         }
-        match (old, new) {
-            (Err(eo), Err(en)) => {
-                assert!(
-                    eo.line >= 1 && eo.col >= 1,
-                    "old parser rejected {line:?} without a position: {eo}"
-                );
-                assert!(
-                    en.line >= 1 && en.col >= 1,
-                    "new parser rejected {line:?} without a position: {en}"
-                );
-                rejected += 1;
-            }
-            // A mutation can still be valid JSON; then both must accept
-            // the same value.
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "parsers accepted {line:?} differently"),
-            (Ok(_), Err(e)) => panic!("only the new parser rejected {line:?}: {e}"),
-            (Err(e), Ok(_)) => panic!("only the old parser rejected {line:?}: {e}"),
-        }
+        rejected += 1;
     }
+    assert_eq!(golden.len(), 500, "json_errors.golden holds 500 rejections");
 }
 
 // ---- recorded conversations -----------------------------------------------
