@@ -272,12 +272,13 @@ pub fn paper_artifacts() -> Harness {
 /// The resilience layer (`dse::robust`): supervised tool calls against
 /// bare registry calls (the supervision overhead the acceptance gate
 /// bounds at 2×), the full fallback ladder under injected faults, and
-/// journal serialization/recovery.
+/// journal serialization/recovery through the production renderer.
 pub fn robust() -> Harness {
     use dse::expr::Bindings;
     use dse::robust::{FaultPlan, FaultRates, Supervisor};
     use dse::robust::fault::silence_injected_panics;
-    use dse::robust::{JournalRecord, JournaledSession};
+    use dse::robust::{Journal, JournalRecord};
+    use dse::session::ExplorationSession;
     use dse_library::estimators::full_registry;
 
     silence_injected_panics();
@@ -324,26 +325,29 @@ pub fn robust() -> Harness {
 
     let layer = crypto::build_layer().expect("layer builds");
     h.bench("robust/journal_roundtrip", move || {
-        let mut js = JournaledSession::new(&layer.space, layer.omm);
-        js.set_requirement("EOL", Value::from(768)).unwrap();
-        js.set_requirement("MaxLatencyUs", Value::from(8.0)).unwrap();
-        js.set_requirement("ModuloIsOdd", Value::from("Guaranteed"))
+        let mut session = ExplorationSession::new(&layer.space, layer.omm);
+        session.set_requirement("EOL", Value::from(768)).unwrap();
+        session.set_requirement("MaxLatencyUs", Value::from(8.0)).unwrap();
+        session
+            .set_requirement("ModuloIsOdd", Value::from("Guaranteed"))
             .unwrap();
-        js.decide("ImplementationStyle", Value::from("Hardware"))
+        session
+            .decide("ImplementationStyle", Value::from("Hardware"))
             .unwrap();
-        js.decide("Algorithm", Value::from("Montgomery")).unwrap();
-        let text = black_box(js.journal().to_jsonl());
-        black_box(
-            JournaledSession::recover(&layer.space, layer.omm, &text).expect("clean journal"),
-        );
+        session.decide("Algorithm", Value::from("Montgomery")).unwrap();
+        let journal = Journal::checkpoint(&session).expect("no stale decisions");
+        let text = black_box(journal.to_jsonl());
+        let (back, _) = Journal::from_jsonl(&text).expect("clean journal");
+        black_box(back.replay(&layer.space, layer.omm).expect("replays"));
     });
-    h.bench("robust/journal_encode_decode_record", || {
-        let r = JournalRecord::Decide {
-            name: "Algorithm".to_owned(),
-            value: Value::from("Montgomery"),
-        };
-        let line = foundation::json::encode(black_box(&r));
-        black_box(foundation::json::decode::<JournalRecord>(&line).expect("roundtrip"));
+    let mut record = Journal::new();
+    record.append(JournalRecord::Decide {
+        name: "Algorithm".to_owned(),
+        value: Value::from("Montgomery"),
+    });
+    h.bench("robust/journal_encode_decode_record", move || {
+        let line = black_box(&record).to_jsonl();
+        black_box(Journal::from_jsonl(&line).expect("roundtrip"));
     });
     h
 }

@@ -116,8 +116,8 @@ pub mod prelude {
     pub use crate::property::{Property, PropertyKind, Unit};
     pub use crate::robust::{
         BreakerConfig, BreakerView, CacheStats, EstimateCache, Fault, FaultPlan, FaultRates,
-        Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, JournaledSession,
-        Provenance, RecoverError, RecoveryReport, Supervisor, SupervisorConfig,
+        Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Provenance,
+        RecoverError, RecoveryReport, Supervisor, SupervisorConfig,
     };
     pub use crate::script::{SessionAction, SessionScript};
     pub use crate::session::{Decision, ExplorationSession, SessionSnapshot};

@@ -5,20 +5,30 @@
 //! operation — including undos, revisions and reaffirmations — so that
 //! [`Journal::replay`] reconstructs the exact focus, bindings **and
 //! stale-flag set** of the original session. Records serialize one per
-//! line (JSON lines, via the foundation codec), the natural shape for an
-//! append-only file: a crash mid-write can only tear the final line, and
-//! [`Journal::from_jsonl`] recovers tolerantly by dropping exactly that
-//! torn tail (reported as a [`DiagCode::TornJournalTail`] diagnostic).
+//! line (JSON lines), the natural shape for an append-only file: a crash
+//! mid-write can only tear the final line, and [`Journal::from_jsonl`]
+//! recovers tolerantly by dropping exactly that torn tail (reported as a
+//! [`DiagCode::TornJournalTail`] diagnostic).
+//!
+//! One renderer writes every record line, whether it comes from a
+//! [`JournalRecord`] or straight from a session's [`Decision`] log
+//! entry: [`JournalAppender`] appends through it and
+//! [`Journal::to_jsonl`] (and so [`JournalDir::compact`]) serializes
+//! through it. [`Journal::checkpoint`] builds the minimal journal that
+//! compaction writes over a long one.
 
 use std::fmt;
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
+use foundation::json::Writer;
+
 use crate::diag::{DiagCode, Diagnostic, Report, Span};
 use crate::error::DseError;
 use crate::hierarchy::{CdoId, DesignSpace};
-use crate::session::ExplorationSession;
+use crate::property::PropertyKind;
+use crate::session::{Decision, ExplorationSession};
 use crate::value::Value;
 
 /// One journaled session operation.
@@ -71,6 +81,99 @@ foundation::impl_json_enum!(JournalRecord {
     Annotate { name, note },
 });
 
+/// A record borrowed for rendering: from a [`JournalRecord`], or
+/// straight from a session's [`Decision`] log entry.
+#[derive(Clone, Copy)]
+enum Line<'a> {
+    /// `SetRequirement`, `Decide` or `Revise`: the variant's name, then
+    /// its `name` and `value` fields.
+    Valued(&'static str, &'a str, &'a Value),
+    Undo,
+    Reaffirm(&'a str),
+    Annotate(&'a str, &'a str),
+}
+
+impl<'a> From<&'a JournalRecord> for Line<'a> {
+    fn from(record: &'a JournalRecord) -> Self {
+        match record {
+            JournalRecord::SetRequirement { name, value } => {
+                Line::Valued("SetRequirement", name, value)
+            }
+            JournalRecord::Decide { name, value } => Line::Valued("Decide", name, value),
+            JournalRecord::Undo => Line::Undo,
+            JournalRecord::Revise { name, value } => Line::Valued("Revise", name, value),
+            JournalRecord::Reaffirm { name } => Line::Reaffirm(name),
+            JournalRecord::Annotate { name, note } => Line::Annotate(name, note),
+        }
+    }
+}
+
+impl<'a> From<&'a Decision> for Line<'a> {
+    /// The record that re-makes a logged decision: a requirement is
+    /// entered, everything else is decided.
+    fn from(d: &'a Decision) -> Self {
+        match d.kind {
+            PropertyKind::Requirement => Line::Valued("SetRequirement", &d.property, &d.value),
+            _ => Line::Valued("Decide", &d.property, &d.value),
+        }
+    }
+}
+
+/// Renders one record as its journal line onto `out`: the compact JSON
+/// the record's codec encodes, then `\n`.
+fn render_line(out: &mut Vec<u8>, line: Line<'_>) {
+    let mut w = Writer::new(out);
+    let (tag, name) = match line {
+        Line::Undo => {
+            w.str_value("Undo");
+            return out.push(b'\n');
+        }
+        Line::Valued(tag, name, _) => (tag, name),
+        Line::Reaffirm(name) => ("Reaffirm", name),
+        Line::Annotate(name, _) => ("Annotate", name),
+    };
+    w.begin_object();
+    w.key(tag);
+    w.begin_object();
+    w.key("name");
+    w.str_value(name);
+    match line {
+        Line::Valued(_, _, value) => {
+            w.key("value");
+            write_value(&mut w, value);
+        }
+        Line::Annotate(_, note) => {
+            w.key("note");
+            w.str_value(note);
+        }
+        Line::Undo | Line::Reaffirm(_) => {}
+    }
+    w.end_object();
+    w.end_object();
+    out.push(b'\n');
+}
+
+/// A [`Value`] in its tagged codec form, e.g. `{"Int":[768]}`.
+fn write_value(w: &mut Writer<'_>, value: &Value) {
+    let tag = match value {
+        Value::Int(_) => "Int",
+        Value::Real(_) => "Real",
+        Value::Text(_) => "Text",
+        Value::Flag(_) => "Flag",
+    };
+    w.begin_object();
+    w.key(tag);
+    w.begin_array();
+    match value {
+        Value::Int(i) => w.int_value(*i),
+        Value::Real(r) => w.float_value(*r),
+        Value::Text(t) => w.str_value(t),
+        Value::Flag(b) => w.bool_value(*b),
+    }
+    w.end_array();
+    w.end_object();
+}
+
 /// Errors from journal recovery or replay.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -122,12 +225,25 @@ pub struct RecoveryReport {
     /// Diagnostics describing the recovery (a [`DiagCode::TornJournalTail`]
     /// warning when a tail was dropped).
     pub diagnostics: Report,
+    /// The text did not end in a newline, so an append would glue its
+    /// record onto the last line.
+    pub unterminated: bool,
 }
 
 impl RecoveryReport {
     /// Whether the journal loaded without dropping anything.
     pub fn is_clean(&self) -> bool {
         self.dropped_tail.is_none()
+    }
+
+    /// Whether records can be appended to the file as it is. A dropped
+    /// tail or a missing final newline means the file must first be
+    /// rewritten from its intact records ([`JournalDir::compact`]):
+    /// otherwise the next record lands on the torn line, and the next
+    /// recovery drops it — or, once more records follow, refuses the
+    /// whole journal as corrupt.
+    pub fn is_appendable(&self) -> bool {
+        self.is_clean() && !self.unterminated
     }
 }
 
@@ -166,12 +282,11 @@ impl Journal {
     /// Serializes to JSON lines: one compact record per line, trailing
     /// newline after each — the append-only on-disk format.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for r in &self.records {
-            out.push_str(&foundation::json::encode(r));
-            out.push('\n');
+            render_line(&mut out, r.into());
         }
-        out
+        String::from_utf8(out).expect("the renderer writes UTF-8")
     }
 
     /// Parses JSON lines tolerantly.
@@ -191,7 +306,10 @@ impl Journal {
             .filter(|(_, l)| !l.trim().is_empty())
             .collect();
         let mut records = Vec::with_capacity(lines.len());
-        let mut report = RecoveryReport::default();
+        let mut report = RecoveryReport {
+            unterminated: !text.is_empty() && !text.ends_with('\n'),
+            ..RecoveryReport::default()
+        };
         let last = lines.len().saturating_sub(1);
         for (i, (line_no, line)) in lines.iter().enumerate() {
             match foundation::json::decode::<JournalRecord>(line) {
@@ -234,6 +352,46 @@ impl Journal {
         }
         Ok(session)
     }
+
+    /// The minimal journal that replays to `session`'s exact state: one
+    /// `SetRequirement` or `Decide` per logged decision, plus an
+    /// `Annotate` per recorded note — what compaction writes over a
+    /// long journal. The checkpoint is verified by replay against the
+    /// session's focus, bindings and log before it is returned.
+    ///
+    /// `None` when the log holds stale decisions (revision history has
+    /// no fresh-decide form) or the checkpoint does not replay to the
+    /// same state.
+    pub fn checkpoint(session: &ExplorationSession<'_>) -> Option<Journal> {
+        let mut checkpoint = Journal::new();
+        for d in session.log() {
+            if d.stale {
+                return None;
+            }
+            let (name, value) = (d.property.clone(), d.value.clone());
+            checkpoint.append(match d.kind {
+                PropertyKind::Requirement => JournalRecord::SetRequirement { name, value },
+                _ => JournalRecord::Decide { name, value },
+            });
+            if let Some(note) = &d.note {
+                checkpoint.append(JournalRecord::Annotate {
+                    name: d.property.clone(),
+                    note: note.clone(),
+                });
+            }
+        }
+        // Sessions start at their root, and the first decision remembers
+        // the focus it left.
+        let root = session
+            .log()
+            .first()
+            .map_or(session.focus(), |d| d.prev_focus);
+        let replayed = checkpoint.replay(session.space(), root).ok()?;
+        let same = replayed.focus() == session.focus()
+            && replayed.bindings() == session.bindings()
+            && replayed.log() == session.log();
+        same.then_some(checkpoint)
+    }
 }
 
 fn apply_record(session: &mut ExplorationSession<'_>, record: &JournalRecord) -> Result<(), DseError> {
@@ -258,13 +416,9 @@ fn apply_record(session: &mut ExplorationSession<'_>, record: &JournalRecord) ->
 /// are restricted to a filesystem-safe alphabet so an id can never
 /// escape the directory.
 ///
-/// Appends open the file, write one record, and close it again: a
-/// daemon holding thousands of concurrently open sessions never holds
-/// thousands of journal file handles (long-lived per-session handles
-/// exhaust the process fd limit — the leak this API exists to prevent).
-/// The close on every append doubles as the flush, so a crash can tear
-/// at most the final record — exactly what [`Journal::from_jsonl`]'s
-/// tolerant recovery expects.
+/// Records reach a journal through a [`JournalAppender`], which holds
+/// the file open across appends; a journal is replaced whole only by
+/// [`compact`](Self::compact).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalDir {
     dir: PathBuf,
@@ -350,18 +504,6 @@ impl JournalDir {
         Ok(self.dir.join(format!("{id}.{JOURNAL_EXT}")))
     }
 
-    /// Appends one record to `id`'s journal, creating the file on first
-    /// use. The handle is opened and closed inside the call.
-    ///
-    /// # Errors
-    ///
-    /// An invalid id, or any I/O error.
-    pub fn append(&self, id: &str, record: &JournalRecord) -> io::Result<()> {
-        let mut line = foundation::json::encode(record);
-        line.push('\n');
-        self.open_append(id)?.write_all(line.as_bytes())
-    }
-
     /// Atomically replaces `id`'s journal with `checkpoint`'s records —
     /// the compaction step of the journal lifecycle. The checkpoint is
     /// written to a `.jsonl.tmp` sidecar, flushed to disk, then renamed
@@ -385,21 +527,6 @@ impl JournalDir {
             file.sync_all()?;
         }
         fs::rename(&temp, &live)
-    }
-
-    /// How many records `id`'s journal holds on disk (0 when absent) —
-    /// the size signal compaction policies key off. Counts newline-
-    /// terminated lines without parsing them.
-    ///
-    /// # Errors
-    ///
-    /// An invalid id, or any read error.
-    pub fn record_count(&self, id: &str) -> io::Result<usize> {
-        match fs::read(self.file_for(id)?) {
-            Ok(bytes) => Ok(bytes.iter().filter(|&&b| b == b'\n').count()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(0),
-            Err(e) => Err(e),
-        }
     }
 
     /// Whether `id` has a journal on disk.
@@ -443,11 +570,7 @@ impl JournalDir {
 
     /// Opens (creating if needed) `id`'s journal file for appending —
     /// the handle a [`JournalAppender`] holds across appends.
-    ///
-    /// # Errors
-    ///
-    /// An invalid id, or any open error.
-    pub fn open_append(&self, id: &str) -> io::Result<fs::File> {
+    fn open_append(&self, id: &str) -> io::Result<fs::File> {
         OpenOptions::new()
             .append(true)
             .create(true)
@@ -475,38 +598,18 @@ impl JournalDir {
         out.sort();
         Ok(out)
     }
-
-    /// Tolerantly recovers every journal in the directory — the boot
-    /// path of a session daemon. Per-journal corruption is reported in
-    /// that journal's slot, never aborting the sweep.
-    ///
-    /// # Errors
-    ///
-    /// Only directory/file *read* errors; parse failures come back per
-    /// id.
-    #[allow(clippy::type_complexity)]
-    pub fn recover_all(
-        &self,
-    ) -> io::Result<Vec<(String, Result<(Journal, RecoveryReport), RecoverError>)>> {
-        let mut out = Vec::new();
-        for id in self.ids()? {
-            if let Some(result) = self.recover(&id)? {
-                out.push((id, result));
-            }
-        }
-        Ok(out)
-    }
 }
 
-/// A per-session append handle over one [`JournalDir`] journal.
+/// A per-session append handle over one [`JournalDir`] journal: the
+/// one way records reach a journal file.
 ///
-/// [`JournalDir::append`] opens and closes the file on every record so a
-/// daemon never accumulates unbounded handles; a session that is *live*
-/// (held open by the engine, bounded by the session cap) can instead
-/// keep its handle open across appends through this type. Durability is
-/// unchanged: `File::write_all` is unbuffered, so every append hits the
-/// kernel before returning, and a crash still tears at most the final
-/// record.
+/// The file is opened on the first append and held across appends (a
+/// daemon holds one per *live* session, bounded by its session cap).
+/// Each record is rendered into a buffer the appender keeps, then
+/// written with one unbuffered `write_all`, so every append hits the
+/// kernel before returning and a crash tears at most the final record —
+/// exactly what [`Journal::from_jsonl`]'s tolerant recovery expects. A
+/// warm append allocates nothing.
 ///
 /// The handle must be [`invalidate`](Self::invalidate)d whenever the
 /// underlying file is replaced or removed (compaction renames a fresh
@@ -516,6 +619,8 @@ impl JournalDir {
 #[derive(Debug, Default)]
 pub struct JournalAppender {
     file: Option<fs::File>,
+    /// The rendered line, reused across appends.
+    line: Vec<u8>,
 }
 
 impl JournalAppender {
@@ -531,22 +636,34 @@ impl JournalAppender {
     ///
     /// An invalid id, or any I/O error — after which the handle is
     /// dropped so the next append reopens the file.
-    pub fn append(
+    pub fn append(&mut self, dir: &JournalDir, id: &str, record: &JournalRecord) -> io::Result<()> {
+        self.write(dir, id, record.into())
+    }
+
+    /// Appends the record that re-makes a session's logged decision
+    /// (`SetRequirement` for a requirement, `Decide` otherwise), rendered
+    /// straight from the log entry.
+    ///
+    /// # Errors
+    ///
+    /// As [`append`](Self::append).
+    pub fn append_decision(
         &mut self,
         dir: &JournalDir,
         id: &str,
-        record: &JournalRecord,
+        decision: &Decision,
     ) -> io::Result<()> {
+        self.write(dir, id, decision.into())
+    }
+
+    fn write(&mut self, dir: &JournalDir, id: &str, line: Line<'_>) -> io::Result<()> {
         if self.file.is_none() {
             self.file = Some(dir.open_append(id)?);
         }
-        let mut line = foundation::json::encode(record);
-        line.push('\n');
-        let result = self
-            .file
-            .as_mut()
-            .expect("handle opened above")
-            .write_all(line.as_bytes());
+        self.line.clear();
+        render_line(&mut self.line, line);
+        let file = self.file.as_mut().expect("handle opened above");
+        let result = file.write_all(&self.line);
         if result.is_err() {
             self.file = None;
         }
@@ -564,140 +681,6 @@ impl JournalAppender {
     /// unlinked inode.
     pub fn invalidate(&mut self) {
         self.file = None;
-    }
-}
-
-/// An [`ExplorationSession`] paired with its journal: every successful
-/// operation is appended *after* it commits, so the journal never records
-/// a rejected or rolled-back action.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournaledSession<'a> {
-    session: ExplorationSession<'a>,
-    journal: Journal,
-}
-
-impl<'a> JournaledSession<'a> {
-    /// Starts a fresh journaled session.
-    pub fn new(space: &'a DesignSpace, root: CdoId) -> Self {
-        JournaledSession {
-            session: ExplorationSession::new(space, root),
-            journal: Journal::new(),
-        }
-    }
-
-    /// Recovers a session from serialized journal text (tolerant of a
-    /// torn tail), replaying it to the exact pre-interruption state.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoverError`] for a corrupt body or a record that no longer
-    /// replays.
-    pub fn recover(
-        space: &'a DesignSpace,
-        root: CdoId,
-        jsonl: &str,
-    ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let (journal, report) = Journal::from_jsonl(jsonl)?;
-        let session = journal.replay(space, root)?;
-        Ok((JournaledSession { session, journal }, report))
-    }
-
-    /// The live session (read-only; mutate through the journaling
-    /// wrappers so the journal stays complete).
-    pub fn session(&self) -> &ExplorationSession<'a> {
-        &self.session
-    }
-
-    /// The journal so far.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
-    /// Splits into the session and its journal.
-    pub fn into_parts(self) -> (ExplorationSession<'a>, Journal) {
-        (self.session, self.journal)
-    }
-
-    /// Reassembles a journaled session from parts (the inverse of
-    /// [`into_parts`](Self::into_parts)); the caller asserts that
-    /// `journal` really is the history that produced `session`.
-    pub fn from_parts(session: ExplorationSession<'a>, journal: Journal) -> Self {
-        JournaledSession { session, journal }
-    }
-
-    /// Journaling wrapper over [`ExplorationSession::set_requirement`].
-    ///
-    /// # Errors
-    ///
-    /// The session's error; nothing is journaled on failure.
-    pub fn set_requirement(&mut self, name: &str, value: Value) -> Result<(), DseError> {
-        self.session.set_requirement(name, value.clone())?;
-        self.journal.append(JournalRecord::SetRequirement {
-            name: name.to_owned(),
-            value,
-        });
-        Ok(())
-    }
-
-    /// Journaling wrapper over [`ExplorationSession::decide`].
-    ///
-    /// # Errors
-    ///
-    /// The session's error; nothing is journaled on failure.
-    pub fn decide(&mut self, name: &str, value: Value) -> Result<(), DseError> {
-        self.session.decide(name, value.clone())?;
-        self.journal.append(JournalRecord::Decide {
-            name: name.to_owned(),
-            value,
-        });
-        Ok(())
-    }
-
-    /// Journaling wrapper over [`ExplorationSession::undo`].
-    ///
-    /// # Errors
-    ///
-    /// [`DseError::NothingToUndo`] on an empty log.
-    pub fn undo(&mut self) -> Result<(), DseError> {
-        self.session.undo()?;
-        self.journal.append(JournalRecord::Undo);
-        Ok(())
-    }
-
-    /// Journaling wrapper over [`ExplorationSession::revise`].
-    ///
-    /// # Errors
-    ///
-    /// The session's error; nothing is journaled on failure.
-    pub fn revise(&mut self, name: &str, value: Value) -> Result<Vec<String>, DseError> {
-        let stale = self.session.revise(name, value.clone())?;
-        self.journal.append(JournalRecord::Revise {
-            name: name.to_owned(),
-            value,
-        });
-        Ok(stale)
-    }
-
-    /// Journaling wrapper over [`ExplorationSession::reaffirm`].
-    pub fn reaffirm(&mut self, name: &str) {
-        self.session.reaffirm(name);
-        self.journal
-            .append(JournalRecord::Reaffirm { name: name.to_owned() });
-    }
-
-    /// Journaling wrapper over [`ExplorationSession::annotate`].
-    ///
-    /// # Errors
-    ///
-    /// The session's error; nothing is journaled on failure.
-    pub fn annotate(&mut self, name: &str, note: impl Into<String>) -> Result<(), DseError> {
-        let note = note.into();
-        self.session.annotate(name, note.clone())?;
-        self.journal.append(JournalRecord::Annotate {
-            name: name.to_owned(),
-            note,
-        });
-        Ok(())
     }
 }
 
@@ -774,6 +757,89 @@ mod tests {
         assert!(matches!(err, RecoverError::Corrupt { line: 2, .. }), "{err}");
     }
 
+    #[test]
+    fn renderer_matches_the_codec_for_every_record_and_value() {
+        let names = ["EOL", "quote\" back\\slash\ttab\u{1}", "Größe→𝄞", ""];
+        let values = [
+            Value::Int(768),
+            Value::Int(i64::MIN),
+            Value::Real(-0.0),
+            Value::Real(1e300),
+            Value::Real(0.1),
+            Value::Real(8.0),
+            Value::Real(f64::NAN),
+            Value::from("Montgomery"),
+            Value::from("line\nbreak \"quoted\" é→𝄞 \u{7f}"),
+            Value::Flag(true),
+            Value::Flag(false),
+        ];
+        let mut records = vec![JournalRecord::Undo];
+        for name in names {
+            for value in &values {
+                let (name, value) = (name.to_owned(), value.clone());
+                records.push(JournalRecord::SetRequirement {
+                    name: name.clone(),
+                    value: value.clone(),
+                });
+                records.push(JournalRecord::Decide {
+                    name: name.clone(),
+                    value: value.clone(),
+                });
+                records.push(JournalRecord::Revise { name, value });
+            }
+            records.push(JournalRecord::Reaffirm { name: name.into() });
+            records.push(JournalRecord::Annotate {
+                name: name.into(),
+                note: format!("why: {name}\r\n"),
+            });
+        }
+        let mut appended = Vec::new();
+        for record in &records {
+            let want = foundation::json::encode(record) + "\n";
+            let mut line = Vec::new();
+            render_line(&mut line, record.into());
+            assert_eq!(String::from_utf8(line).unwrap(), want, "{record:?}");
+            appended.push(want);
+        }
+        let journal = Journal {
+            records: records.clone(),
+        };
+        assert_eq!(journal.to_jsonl(), appended.concat());
+
+        // A decision renders as the record that re-makes it.
+        let decision = |kind| Decision {
+            property: "EOL".into(),
+            value: Value::Int(768),
+            kind,
+            prev_focus: CdoId::default(),
+            stale: false,
+            note: Some("ignored".into()),
+        };
+        for (kind, record) in [
+            (
+                PropertyKind::Requirement,
+                JournalRecord::SetRequirement {
+                    name: "EOL".into(),
+                    value: Value::Int(768),
+                },
+            ),
+            (
+                PropertyKind::DesignIssue,
+                JournalRecord::Decide {
+                    name: "EOL".into(),
+                    value: Value::Int(768),
+                },
+            ),
+        ] {
+            let mut line = Vec::new();
+            render_line(&mut line, (&decision(kind)).into());
+            assert_eq!(
+                line,
+                (foundation::json::encode(&record) + "\n").into_bytes()
+            );
+        }
+    }
+
     fn temp_journal_dir(tag: &str) -> JournalDir {
         let dir = std::env::temp_dir().join(format!(
             "dse-journal-test-{}-{tag}",
@@ -783,8 +849,22 @@ mod tests {
         JournalDir::create(dir).unwrap()
     }
 
+    /// Appends each record to `id`'s journal through one appender.
+    fn append_all(dir: &JournalDir, id: &str, records: &[JournalRecord]) {
+        let mut appender = JournalAppender::new();
+        for record in records {
+            appender.append(dir, id, record).unwrap();
+        }
+    }
+
+    fn recovered(dir: &JournalDir, id: &str) -> Journal {
+        let (journal, report) = dir.recover(id).unwrap().unwrap().unwrap();
+        assert!(report.is_appendable());
+        journal
+    }
+
     #[test]
-    fn held_open_appender_matches_per_append_opens_and_survives_compaction() {
+    fn held_open_appender_survives_compaction_and_removal() {
         let dir = temp_journal_dir("appender");
         let req = JournalRecord::SetRequirement {
             name: "EOL".into(),
@@ -801,21 +881,21 @@ mod tests {
         assert!(!appender.is_open());
         assert!(!dir.exists("s1"));
 
-        // Appends through the held handle read back exactly like the
-        // open-per-append path writes them.
+        // Appends through the held handle land as one line each.
         appender.append(&dir, "s1", &req).unwrap();
         assert!(appender.is_open());
         appender.append(&dir, "s1", &decide).unwrap();
-        dir.append("s2", &req).unwrap();
-        dir.append("s2", &decide).unwrap();
         assert_eq!(
-            fs::read(dir.file_for("s1").unwrap()).unwrap(),
-            fs::read(dir.file_for("s2").unwrap()).unwrap(),
-            "held-open and open-per-append writes must be byte-identical"
+            fs::read_to_string(dir.file_for("s1").unwrap()).unwrap(),
+            Journal {
+                records: vec![req.clone(), decide.clone()]
+            }
+            .to_jsonl()
         );
-        let (journal, report) = dir.recover("s1").unwrap().unwrap().unwrap();
-        assert!(report.is_clean());
-        assert_eq!(journal.records(), &[req.clone(), decide.clone()]);
+        assert_eq!(
+            recovered(&dir, "s1").records(),
+            &[req.clone(), decide.clone()]
+        );
 
         // Compaction replaces the file by rename; a stale handle would
         // keep writing to the unlinked inode. Invalidate, then prove
@@ -826,10 +906,8 @@ mod tests {
         appender.invalidate();
         assert!(!appender.is_open());
         appender.append(&dir, "s1", &decide).unwrap();
-        let (journal, report) = dir.recover("s1").unwrap().unwrap().unwrap();
-        assert!(report.is_clean());
         assert_eq!(
-            journal.records(),
+            recovered(&dir, "s1").records(),
             &[req.clone(), decide.clone()],
             "post-compaction append must reach the replacement file"
         );
@@ -839,35 +917,26 @@ mod tests {
         appender.invalidate();
         appender.append(&dir, "s1", &req).unwrap();
         assert!(dir.exists("s1"));
-        assert_eq!(dir.record_count("s1").unwrap(), 1);
+        assert_eq!(recovered(&dir, "s1").len(), 1);
         let _ = std::fs::remove_dir_all(dir.path());
     }
 
     #[test]
     fn journal_dir_appends_and_recovers_per_id() {
         let dir = temp_journal_dir("roundtrip");
-        dir.append(
-            "s1",
-            &JournalRecord::SetRequirement {
-                name: "EOL".into(),
-                value: Value::Int(64),
-            },
-        )
-        .unwrap();
-        dir.append("s1", &JournalRecord::Undo).unwrap();
-        dir.append("s2", &JournalRecord::Undo).unwrap();
+        let req = JournalRecord::SetRequirement {
+            name: "EOL".into(),
+            value: Value::Int(64),
+        };
+        append_all(&dir, "s1", &[req, JournalRecord::Undo]);
+        append_all(&dir, "s2", &[JournalRecord::Undo]);
         assert!(dir.exists("s1"));
         assert!(!dir.exists("never-opened"));
         assert_eq!(dir.ids().unwrap(), vec!["s1".to_owned(), "s2".to_owned()]);
 
-        let (journal, report) = dir.recover("s1").unwrap().unwrap().unwrap();
-        assert!(report.is_clean());
-        assert_eq!(journal.len(), 2);
+        assert_eq!(recovered(&dir, "s1").len(), 2);
+        assert_eq!(recovered(&dir, "s2").len(), 1);
         assert!(dir.recover("s3").unwrap().is_none());
-
-        let all = dir.recover_all().unwrap();
-        assert_eq!(all.len(), 2);
-        assert!(all.iter().all(|(_, r)| r.is_ok()));
 
         assert!(dir.remove("s1").unwrap());
         assert!(!dir.remove("s1").unwrap());
@@ -879,48 +948,36 @@ mod tests {
     fn compaction_atomically_replaces_the_journal_and_boot_sweeps_temps() {
         let dir = temp_journal_dir("compact");
         // A history with churn: requirement, decide, undo, decide again.
-        dir.append(
+        let req = JournalRecord::SetRequirement {
+            name: "EOL".into(),
+            value: Value::Int(64),
+        };
+        let montgomery = JournalRecord::Decide {
+            name: "Algorithm".into(),
+            value: Value::from("Montgomery"),
+        };
+        let classical = JournalRecord::Decide {
+            name: "Algorithm".into(),
+            value: Value::from("Classical"),
+        };
+        append_all(
+            &dir,
             "s1",
-            &JournalRecord::SetRequirement {
-                name: "EOL".into(),
-                value: Value::Int(64),
-            },
-        )
-        .unwrap();
-        dir.append(
-            "s1",
-            &JournalRecord::Decide {
-                name: "Algorithm".into(),
-                value: Value::from("Classical"),
-            },
-        )
-        .unwrap();
-        dir.append("s1", &JournalRecord::Undo).unwrap();
-        dir.append(
-            "s1",
-            &JournalRecord::Decide {
-                name: "Algorithm".into(),
-                value: Value::from("Montgomery"),
-            },
-        )
-        .unwrap();
-        assert_eq!(dir.record_count("s1").unwrap(), 4);
+            &[
+                req.clone(),
+                classical,
+                JournalRecord::Undo,
+                montgomery.clone(),
+            ],
+        );
+        assert_eq!(recovered(&dir, "s1").len(), 4);
 
         // The compacted checkpoint carries only the surviving state.
         let mut checkpoint = Journal::new();
-        checkpoint.append(JournalRecord::SetRequirement {
-            name: "EOL".into(),
-            value: Value::Int(64),
-        });
-        checkpoint.append(JournalRecord::Decide {
-            name: "Algorithm".into(),
-            value: Value::from("Montgomery"),
-        });
+        checkpoint.append(req);
+        checkpoint.append(montgomery);
         dir.compact("s1", &checkpoint).unwrap();
-        assert_eq!(dir.record_count("s1").unwrap(), 2);
-        let (back, report) = dir.recover("s1").unwrap().unwrap().unwrap();
-        assert!(report.is_clean());
-        assert_eq!(back.records(), checkpoint.records());
+        assert_eq!(recovered(&dir, "s1").records(), checkpoint.records());
         // No temp file is left behind on success.
         assert!(!dir.path().join("s1.jsonl.tmp").exists());
 
@@ -929,10 +986,9 @@ mod tests {
         std::fs::write(dir.path().join("s1.jsonl.tmp"), "{torn").unwrap();
         let reopened = JournalDir::create(dir.path()).unwrap();
         assert!(!reopened.path().join("s1.jsonl.tmp").exists());
-        assert_eq!(reopened.record_count("s1").unwrap(), 2);
+        assert_eq!(recovered(&reopened, "s1").len(), 2);
         // Temp files are invisible to the id sweep even if present.
         assert_eq!(reopened.ids().unwrap(), vec!["s1".to_owned()]);
-        assert_eq!(dir.record_count("absent").unwrap(), 0);
         let _ = std::fs::remove_dir_all(dir.path());
     }
 
@@ -941,22 +997,25 @@ mod tests {
         let dir = temp_journal_dir("ids");
         for bad in ["", "..", "a/b", ".hidden", "x\\y", "a b", &"x".repeat(129)] {
             assert!(!JournalDir::is_valid_id(bad), "{bad:?}");
-            assert!(dir.append(bad, &JournalRecord::Undo).is_err());
+            let mut appender = JournalAppender::new();
+            assert!(appender.append(&dir, bad, &JournalRecord::Undo).is_err());
         }
         assert!(JournalDir::is_valid_id("session-42.alpha_B"));
         let _ = std::fs::remove_dir_all(dir.path());
     }
 
     #[test]
-    fn journal_dir_recover_all_reports_torn_and_corrupt_files() {
-        let dir = temp_journal_dir("recover-all");
-        dir.append("ok", &JournalRecord::Undo).unwrap();
+    fn journal_dir_recover_reports_torn_unterminated_and_corrupt_files() {
+        let dir = temp_journal_dir("recover");
+        append_all(&dir, "ok", &[JournalRecord::Undo]);
         // Torn tail: a crash mid-append.
-        dir.append("torn", &JournalRecord::Undo).unwrap();
+        append_all(&dir, "torn", &[JournalRecord::Undo]);
         let torn_path = dir.file_for("torn").unwrap();
         let mut text = std::fs::read_to_string(&torn_path).unwrap();
         text.push_str("{\"Decide\":{\"na");
         std::fs::write(&torn_path, text).unwrap();
+        // A complete final record without its newline.
+        std::fs::write(dir.file_for("unterminated").unwrap(), "\"Undo\"\n\"Undo\"").unwrap();
         // Mid-body corruption: not recoverable.
         std::fs::write(
             dir.file_for("corrupt").unwrap(),
@@ -964,11 +1023,17 @@ mod tests {
         )
         .unwrap();
 
-        let all = dir.recover_all().unwrap();
-        let slot = |id: &str| all.iter().find(|(i, _)| i == id).unwrap();
-        assert!(matches!(&slot("ok").1, Ok((_, r)) if r.is_clean()));
-        assert!(matches!(&slot("torn").1, Ok((j, r)) if j.len() == 1 && !r.is_clean()));
-        assert!(matches!(&slot("corrupt").1, Err(RecoverError::Corrupt { line: 1, .. })));
+        let slot = |id: &str| dir.recover(id).unwrap().unwrap();
+        assert!(matches!(slot("ok"), Ok((_, r)) if r.is_clean() && r.is_appendable()));
+        assert!(matches!(slot("torn"), Ok((j, r)) if j.len() == 1 && !r.is_clean()));
+        assert!(matches!(
+            slot("unterminated"),
+            Ok((j, r)) if j.len() == 2 && r.is_clean() && r.unterminated && !r.is_appendable()
+        ));
+        assert!(matches!(
+            slot("corrupt"),
+            Err(RecoverError::Corrupt { line: 1, .. })
+        ));
         let _ = std::fs::remove_dir_all(dir.path());
     }
 

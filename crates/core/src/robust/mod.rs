@@ -13,9 +13,12 @@
 //!   output property's declared range. Every figure it produces is a
 //!   [`Figure`] tagged with [`Provenance`], so degraded numbers are
 //!   visible, never silent.
-//! * [`Journal`] / [`JournaledSession`] give sessions an append-only
-//!   decision journal (JSON lines via the foundation codec) with
-//!   replay/recovery, tolerant of a truncated tail record.
+//! * [`Journal`] is a session's append-only decision journal (JSON
+//!   lines) with replay and recovery, tolerant of a truncated tail
+//!   record. [`JournalDir`] is the on-disk home of per-session
+//!   journals; [`JournalAppender`] is the one path records take to
+//!   disk, rendered straight from the session's log, and
+//!   [`Journal::checkpoint`] is what compaction writes.
 //! * [`FaultPlan`] is a deterministic fault-injection harness: it wraps
 //!   any estimator to inject panics, transient failures, fuel exhaustion
 //!   and NaN/garbage outputs on a seeded schedule, so chaos tests can
@@ -34,8 +37,7 @@ pub use cache::{CacheStats, EstimateCache};
 pub use fault::{Fault, FaultPlan, FaultRates, FaultyEstimator};
 pub use fuel::Fuel;
 pub use journal::{
-    Journal, JournalAppender, JournalDir, JournalRecord, JournaledSession, RecoverError,
-    RecoveryReport,
+    Journal, JournalAppender, JournalDir, JournalRecord, RecoverError, RecoveryReport,
 };
 pub use supervisor::{BreakerConfig, BreakerView, Supervisor, SupervisorConfig, SupervisorStats};
 

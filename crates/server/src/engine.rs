@@ -34,7 +34,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dse::prelude::{
     CdoId, Decision, DesignSpace, DiagCode, DseError, EstimateCache, ExplorationSession, FaultPlan,
     FaultRates, Figure, Fuel, Journal, JournalAppender, JournalDir, JournalRecord, Net, Property,
-    PropertyKind, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value, Viability,
+    PropertyKind, RecoverError, SessionSnapshot, Solver, Supervisor, SupervisorConfig, Value,
+    Viability,
 };
 use dse_library::{
     load_all_layers, roster_from_indices, roster_indices, CoreStore, Explorer, ReuseLibrary,
@@ -165,6 +166,10 @@ struct SessionSlot {
     /// logical clock TTL eviction measures against).
     last_touch: u64,
 }
+
+/// A session slot rebuilt from disk, plus the notes (recovery
+/// diagnostics) its `open` reports.
+type Resumed = (SessionSlot, Vec<String>);
 
 /// A [`Solver`] synchronized with a session's decision log.
 #[derive(Debug)]
@@ -574,7 +579,7 @@ impl Engine {
                 name,
                 value,
             } => self
-                .op_decide(session, name, &value.to_value())
+                .op_decide(session, name, value.to_value())
                 .map(Reply::Decide),
             Request::Retract { session, name } => self
                 .op_retract(session, name.as_deref())
@@ -929,55 +934,26 @@ impl Engine {
 
     // ---- exploration ops ---------------------------------------------------
 
-    fn op_decide(&self, id: &str, name: &str, value: &Value) -> Result<DecideOut, ProtocolError> {
-        self.with_slot(id, |slot| {
-            // Clone the Arc so the session borrows it, not the slot —
-            // the journal appender needs `&mut slot` mid-operation.
-            let snapshot = Arc::clone(&slot.snapshot);
-            // Move the state into the session instead of cloning it;
-            // every exit path below stashes it straight back.
-            let mut session =
-                ExplorationSession::resume(&snapshot.space, std::mem::take(&mut slot.state));
+    fn op_decide(&self, id: &str, name: &str, value: Value) -> Result<DecideOut, ProtocolError> {
+        self.with_session(id, |slot, session| {
             let kind = session
                 .space()
                 .find_property(session.focus(), name)
                 .map(|(_, p)| p.kind());
-            let requirement = matches!(kind, Some(PropertyKind::Requirement));
-            let applied = if requirement {
-                session.set_requirement(name, value.clone())
-            } else {
-                // Unknown properties fall through to decide() so the
-                // session produces its own (precise) error.
-                session.decide(name, value.clone())
-            };
-            if let Err(e) = applied {
-                // A rejected decision leaves the session untouched
-                // (decide/set_requirement are all-or-nothing), so the
-                // moved state goes back as-is.
-                slot.state = session.into_snapshot();
-                return Err(rejected(e));
+            // Unknown properties fall through to decide() so the session
+            // produces its own (precise) error. Both are all-or-nothing:
+            // a rejected value leaves the session untouched.
+            match kind {
+                Some(PropertyKind::Requirement) => session.set_requirement(name, value),
+                _ => session.decide(name, value),
             }
-            if self.journal.is_some() {
-                let record = if requirement {
-                    JournalRecord::SetRequirement {
-                        name: name.to_owned(),
-                        value: value.clone(),
-                    }
-                } else {
-                    JournalRecord::Decide {
-                        name: name.to_owned(),
-                        value: value.clone(),
-                    }
-                };
-                if let Err(e) = self.append_journal(id, slot, &record) {
-                    // Journal-before-acknowledge: a decision that never
-                    // reached disk must not survive in the slot either —
-                    // roll it back before restashing the state.
-                    let _ = session.undo();
-                    slot.state = session.into_snapshot();
-                    return Err(e);
-                }
-                slot.journal_records += 1;
+            .map_err(rejected)?;
+            let d = session.log().last().expect("an applied decision is logged");
+            if let Err(e) = self.append_journal(id, slot, |a, dir| a.append_decision(dir, id, d)) {
+                // Journal-before-acknowledge: a decision that never
+                // reached disk must not survive in the slot either.
+                session.undo().expect("the decision was just logged");
+                return Err(e);
             }
             // Keep the lookahead solver in lock-step: one decide = one
             // solver level (O(changed domains)); a focus move
@@ -986,62 +962,42 @@ impl Engine {
                 Some(la)
                     if la.focus == session.focus() && la.synced + 1 == session.log().len() =>
                 {
-                    la.solver.decide(name, value);
+                    la.solver.decide(name, &d.value);
                     la.synced += 1;
                 }
                 Some(_) => slot.lookahead = None,
                 None => {}
             }
-            let out = DecideOut {
+            self.maybe_compact(id, slot, session);
+            Ok(DecideOut {
                 focus: session.space().path_string(session.focus()),
                 open_issues: session.open_issues().len() as i64,
-            };
-            slot.state = session.into_snapshot();
-            self.maybe_compact(id, slot);
-            Ok(out)
+            })
         })
     }
 
     fn op_retract(&self, id: &str, name: Option<&str>) -> Result<RetractOut, ProtocolError> {
-        self.with_slot(id, |slot| {
-            let snapshot = Arc::clone(&slot.snapshot);
-            let mut session =
-                ExplorationSession::resume(&snapshot.space, std::mem::take(&mut slot.state));
+        self.with_session(id, |slot, session| {
             if let Some(name) = name {
                 if !session.log().iter().any(|d| d.property == name) {
-                    slot.state = session.into_snapshot();
                     return Err(ProtocolError::new(
                         DiagCode::SessionRejected,
                         format!("{name:?} is not a decided property in this session"),
                     ));
                 }
             }
-            let journaled = self.journal.is_some();
             let mut undone = Vec::new();
             loop {
-                // With a journal, keep a pre-undo copy: an undo that
-                // fails to reach disk must be discarded, not
-                // acknowledged. Without one, nothing below can fail
-                // after the undo and the state just moves.
-                let pre = journaled.then(|| session.snapshot());
-                let d = match session.undo() {
-                    Ok(d) => d,
-                    Err(e) => {
-                        // Earlier undos in this loop are journaled and
-                        // stay committed; only this one never happened.
-                        slot.state = session.into_snapshot();
-                        return Err(rejected(e));
-                    }
-                };
-                // Journal each undo as it commits so a crash mid-retract
-                // tears at most one record.
-                if journaled {
-                    if let Err(e) = self.append_journal(id, slot, &JournalRecord::Undo) {
-                        slot.state = pre.expect("journal errors imply a journal");
-                        return Err(e);
-                    }
-                    slot.journal_records += 1;
+                // Undo fails only on an empty log, so check that first,
+                // journal the undo, and only then make it: an undo that
+                // never reached disk never happens. Earlier undos in this
+                // loop are journaled and stay committed; a crash
+                // mid-retract tears at most one record.
+                if session.log().is_empty() {
+                    return Err(rejected(DseError::NothingToUndo));
                 }
+                self.append_journal(id, slot, |a, dir| a.append(dir, id, &JournalRecord::Undo))?;
+                let d = session.undo().expect("the log is not empty");
                 match slot.lookahead.as_mut() {
                     Some(la)
                         if la.focus == session.focus()
@@ -1054,22 +1010,17 @@ impl Engine {
                     Some(_) => slot.lookahead = None,
                     None => {}
                 }
-                let done = match name {
-                    Some(target) => d.property == target,
-                    None => true,
-                };
+                let done = name.is_none_or(|target| d.property == target);
                 undone.push(d.property);
                 if done {
                     break;
                 }
             }
-            let out = RetractOut {
+            self.maybe_compact(id, slot, session);
+            Ok(RetractOut {
                 undone,
                 focus: session.space().path_string(session.focus()),
-            };
-            slot.state = session.into_snapshot();
-            self.maybe_compact(id, slot);
-            Ok(out)
+            })
         })
     }
 
@@ -1156,13 +1107,7 @@ impl Engine {
     }
 
     fn op_viable(&self, id: &str, name: &str) -> Result<ViableOut, ProtocolError> {
-        self.with_slot(id, |slot| {
-            // The lookahead only reads the session, so the state moves
-            // through it and back into the slot.
-            let session = ExplorationSession::resume(
-                &slot.snapshot.space,
-                std::mem::take(&mut slot.state),
-            );
+        self.with_session(id, |slot, session| {
             let rebuild = match &slot.lookahead {
                 Some(la) => la.focus != session.focus() || la.synced != session.log().len(),
                 None => true,
@@ -1174,7 +1119,6 @@ impl Engine {
                     focus: session.focus(),
                 });
             }
-            slot.state = session.into_snapshot();
             let la = slot.lookahead.as_ref().expect("lookahead just ensured");
             Ok(ViableOut {
                 viable: la.solver.viable(name),
@@ -1184,13 +1128,7 @@ impl Engine {
     }
 
     fn op_report(&self, id: &str) -> Result<ReportOut, ProtocolError> {
-        self.with_slot(id, |slot| {
-            // The report only reads the session, so the state moves
-            // through it and back into the slot.
-            let session = ExplorationSession::resume(
-                &slot.snapshot.space,
-                std::mem::take(&mut slot.state),
-            );
+        self.with_session(id, |slot, session| {
             // Bindings and estimates are keyed by interned symbol, whose
             // order is intern order — sort by name so reports are stable
             // across process histories.
@@ -1203,17 +1141,15 @@ impl Engine {
             let names = |props: Vec<&Property>| -> Vec<String> {
                 props.iter().map(|p| p.name().to_owned()).collect()
             };
-            let out = ReportOut {
+            Ok(ReportOut {
                 snapshot: slot.snapshot.name.clone(),
                 focus: session.space().path_string(session.focus()),
                 bindings,
                 decisions: session.log().to_vec(),
                 open_requirements: names(session.open_requirements()),
                 open_issues: names(session.open_issues()),
-                estimates: sorted_estimates(&session),
-            };
-            slot.state = session.into_snapshot();
-            Ok(out)
+                estimates: sorted_estimates(session),
+            })
         })
     }
 
@@ -1251,6 +1187,28 @@ impl Engine {
         f(&mut slot)
     }
 
+    /// [`with_slot`](Self::with_slot) with the slot's state resumed as a
+    /// live session. The state moves into the session instead of being
+    /// cloned, and moves back into the slot whatever `f` returns, so `f`
+    /// must leave the session in the state the op commits — on error
+    /// too.
+    fn with_session<R>(
+        &self,
+        id: &str,
+        f: impl FnOnce(&mut SessionSlot, &mut ExplorationSession<'_>) -> Result<R, ProtocolError>,
+    ) -> Result<R, ProtocolError> {
+        self.with_slot(id, |slot| {
+            // The session borrows a clone of the Arc, not the slot, so `f`
+            // can still update the slot (appender, lookahead) mid-op.
+            let snapshot = Arc::clone(&slot.snapshot);
+            let mut session =
+                ExplorationSession::resume(&snapshot.space, std::mem::take(&mut slot.state));
+            let result = f(slot, &mut session);
+            slot.state = session.into_snapshot();
+            result
+        })
+    }
+
     /// Re-opens an evicted session from its journal (or, for a session
     /// evicted before its first mutation, its meta sidecar alone).
     fn lazy_resume(&self, id: &str) -> Result<Arc<Mutex<SessionSlot>>, ProtocolError> {
@@ -1283,15 +1241,18 @@ impl Engine {
         &self,
         id: &str,
         requested_snapshot: Option<&str>,
-    ) -> Result<(SessionSlot, Vec<String>), ProtocolError> {
-        let journaled = self.journal.as_ref().is_some_and(|j| j.exists(id));
-        if journaled {
-            return self.recover_one(id, requested_snapshot);
-        }
+    ) -> Result<Resumed, ProtocolError> {
         let Some(journal) = &self.journal else {
-            // recover_one produces the precise journaling-disabled error.
-            return self.recover_one(id, requested_snapshot);
+            return Err(ProtocolError::new(
+                DiagCode::UnknownSession,
+                format!("session {id:?} is not open (journaling is disabled; nothing to resume)"),
+            ));
         };
+        if journal.exists(id) {
+            return self
+                .recover_one(journal, id, requested_snapshot)?
+                .map_err(|e| unrecoverable(id, &e));
+        }
         let meta = read_meta(journal, id).ok_or_else(|| unknown_session(id))?;
         let snap = self.snapshot(requested_snapshot.unwrap_or(&meta))?;
         let state = ExplorationSession::new(&snap.space, snap.root).snapshot();
@@ -1342,57 +1303,22 @@ impl Engine {
         }
     }
 
-    /// Rewrites a session's journal as a minimal checkpoint once it
-    /// outgrows `compact_after` records. The checkpoint is *verified by
-    /// replay* against the live state before it replaces anything; any
-    /// history the checkpoint form cannot reproduce (stale decisions
-    /// from revisions) skips compaction. Failure is never an op error —
-    /// the uncompacted journal is still correct.
-    fn maybe_compact(&self, id: &str, slot: &mut SessionSlot) {
+    /// Rewrites a session's journal as its [`Journal::checkpoint`] once
+    /// it outgrows `compact_after` records. A session the checkpoint
+    /// cannot reproduce (stale decisions from revisions) tries again
+    /// after `compact_after` more records. Failure is never an op error
+    /// — the uncompacted journal is still correct.
+    fn maybe_compact(&self, id: &str, slot: &mut SessionSlot, session: &ExplorationSession<'_>) {
         let Some(journal) = &self.journal else {
             return;
         };
         if self.guard.compact_after == 0 || slot.journal_records < self.guard.compact_after {
             return;
         }
-        let session = ExplorationSession::resume(&slot.snapshot.space, slot.state.clone());
-        let mut checkpoint = Journal::new();
-        for d in session.log() {
-            if d.stale {
-                // Revision history is not expressible as a fresh
-                // decide sequence; try again after more records.
-                slot.journal_records = 0;
-                return;
-            }
-            checkpoint.append(match d.kind {
-                PropertyKind::Requirement => JournalRecord::SetRequirement {
-                    name: d.property.clone(),
-                    value: d.value.clone(),
-                },
-                _ => JournalRecord::Decide {
-                    name: d.property.clone(),
-                    value: d.value.clone(),
-                },
-            });
-            if let Some(note) = &d.note {
-                checkpoint.append(JournalRecord::Annotate {
-                    name: d.property.clone(),
-                    note: note.clone(),
-                });
-            }
-        }
-        let verified = checkpoint
-            .replay(&slot.snapshot.space, slot.snapshot.root)
-            .map(|replayed| {
-                replayed.focus() == session.focus()
-                    && replayed.bindings() == session.bindings()
-                    && replayed.log() == session.log()
-            })
-            .unwrap_or(false);
-        if !verified {
+        let Some(checkpoint) = Journal::checkpoint(session) else {
             slot.journal_records = 0;
             return;
-        }
+        };
         if journal.compact(id, &checkpoint).is_ok() {
             // Compaction renamed a fresh file over the journal; a held
             // append handle now points at the unlinked inode and must
@@ -1415,23 +1341,21 @@ impl Engine {
         }
     }
 
-    /// Appends through the slot's long-lived handle (opened on first
-    /// use), so the per-record open+close disappears from the
-    /// acknowledge path. Durability is unchanged: the write is
-    /// unbuffered and a failed append drops the handle.
+    /// Appends one record to the session's journal (a no-op without
+    /// one) through the slot's held handle: `append` renders it straight
+    /// from the session, so acknowledging an op costs one `write_all`.
     fn append_journal(
         &self,
         id: &str,
         slot: &mut SessionSlot,
-        record: &JournalRecord,
+        append: impl FnOnce(&mut JournalAppender, &JournalDir) -> std::io::Result<()>,
     ) -> Result<(), ProtocolError> {
-        match &self.journal {
-            Some(journal) => slot
-                .appender
-                .append(journal, id, record)
-                .map_err(|e| journal_fault(id, "append", &e)),
-            None => Ok(()),
-        }
+        let Some(journal) = &self.journal else {
+            return Ok(());
+        };
+        append(&mut slot.appender, journal).map_err(|e| journal_fault(id, "append", &e))?;
+        slot.journal_records += 1;
+        Ok(())
     }
 
     fn write_meta(
@@ -1444,28 +1368,28 @@ impl Engine {
             .map_err(|e| journal_fault(id, "write meta", &e))
     }
 
-    /// Rebuilds one session from its journal (the `open … resume` path).
+    /// Rebuilds one session from its journal, read and parsed once.
+    /// A corrupt journal body comes back as the inner error, worded as
+    /// the journal words it; everything else that refuses the session
+    /// is the outer error.
+    ///
+    /// A dropped torn tail, or a final record without its newline, is
+    /// rewritten away before the slot can append: otherwise the next
+    /// record lands on the torn line and the next recovery drops it.
     fn recover_one(
         &self,
+        journal: &JournalDir,
         id: &str,
         requested_snapshot: Option<&str>,
-    ) -> Result<(SessionSlot, Vec<String>), ProtocolError> {
-        let journal = self.journal.as_ref().ok_or_else(|| {
-            ProtocolError::new(
-                DiagCode::UnknownSession,
-                format!("session {id:?} is not open (journaling is disabled; nothing to resume)"),
-            )
-        })?;
+    ) -> Result<Result<Resumed, RecoverError>, ProtocolError> {
         let recovered = journal
             .recover(id)
             .map_err(|e| journal_fault(id, "read journal", &e))?
             .ok_or_else(|| unknown_session(id))?;
-        let (loaded, report) = recovered.map_err(|e| {
-            ProtocolError::new(
-                DiagCode::JournalFault,
-                format!("session {id:?}: {e}"),
-            )
-        })?;
+        let (loaded, report) = match recovered {
+            Ok(loaded) => loaded,
+            Err(corrupt) => return Ok(Err(corrupt)),
+        };
         let snapshot_name = match requested_snapshot {
             Some(s) => s.to_owned(),
             None => read_meta(journal, id).ok_or_else(|| {
@@ -1476,12 +1400,14 @@ impl Engine {
             })?,
         };
         let snap = self.snapshot(&snapshot_name)?;
-        let session = loaded.replay(&snap.space, snap.root).map_err(|e| {
-            ProtocolError::new(
-                DiagCode::JournalFault,
-                format!("session {id:?}: {e}"),
-            )
-        })?;
+        let session = loaded
+            .replay(&snap.space, snap.root)
+            .map_err(|e| unrecoverable(id, &e))?;
+        if !report.is_appendable() {
+            journal
+                .compact(id, &loaded)
+                .map_err(|e| journal_fault(id, "rewrite torn journal", &e))?;
+        }
         let mut notes: Vec<String> = report
             .diagnostics
             .diagnostics()
@@ -1494,9 +1420,9 @@ impl Engine {
             self.write_meta(journal, id, &snap.name)?;
             notes.push(format!("restored snapshot metadata for {id:?}"));
         }
-        Ok((
+        Ok(Ok((
             SessionSlot {
-                state: session.snapshot(),
+                state: session.into_snapshot(),
                 snapshot: snap,
                 recovered: true,
                 notes: Vec::new(),
@@ -1506,7 +1432,7 @@ impl Engine {
                 last_touch: self.requests.load(Ordering::Relaxed),
             },
             notes,
-        ))
+        )))
     }
 
     /// The boot sweep: every journal in the directory becomes an open
@@ -1519,23 +1445,17 @@ impl Engine {
         };
         let mut warnings = Vec::new();
         let mut slots = Vec::new();
-        for (id, loaded) in journal.recover_all().map_err(|e| e.to_string())? {
-            match self.recover_one(&id, None) {
-                Ok((slot, notes)) => {
-                    let mut slot = slot;
+        for id in journal.ids().map_err(|e| e.to_string())? {
+            let detail = match self.recover_one(&journal, &id, None) {
+                Ok(Ok((mut slot, notes))) => {
                     slot.notes = notes;
                     slots.push((id, slot));
+                    continue;
                 }
-                Err(e) => {
-                    // recover_one re-reads the file; `loaded` is only
-                    // used to keep the error message precise.
-                    let detail = match loaded {
-                        Err(inner) => inner.to_string(),
-                        Ok(_) => e.message.clone(),
-                    };
-                    warnings.push(format!("journal {id:?} not recovered: {detail}"));
-                }
-            }
+                Ok(Err(corrupt)) => corrupt.to_string(),
+                Err(e) => e.message,
+            };
+            warnings.push(format!("journal {id:?} not recovered: {detail}"));
         }
         {
             let mut sessions = self.sessions.lock().unwrap();
@@ -1660,6 +1580,11 @@ fn unknown_session(id: &str) -> ProtocolError {
         DiagCode::UnknownSession,
         format!("session {id:?} is not open"),
     )
+}
+
+/// A journal that does not load or no longer replays.
+fn unrecoverable(id: &str, e: &RecoverError) -> ProtocolError {
+    ProtocolError::new(DiagCode::JournalFault, format!("session {id:?}: {e}"))
 }
 
 fn rejected(e: DseError) -> ProtocolError {

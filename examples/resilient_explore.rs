@@ -13,11 +13,12 @@ use design_space_layer::coproc::walkthrough;
 use design_space_layer::dse::prelude::*;
 use design_space_layer::dse::robust::fault::silence_injected_panics;
 use design_space_layer::dse::estimate::EstimatorRegistry;
-use design_space_layer::dse_library::load_layer;
 use design_space_layer::dse_library::estimators::{
     full_registry, BehaviorDelayEstimator, CoarseDelayEstimator,
 };
 use design_space_layer::dse_library::CoreRecord;
+use design_space_layer::dse_server::{Engine, EngineBuilder};
+use design_space_layer::foundation::json::Json;
 use design_space_layer::techlib::Technology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -74,43 +75,82 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         chaotic.functionally_verified
     );
 
-    // 3. Crash-safe sessions: decisions go through a journal; tearing
-    //    the final record (a crash mid-append) loses exactly that record
-    //    and recovery replays the rest to the identical state. The layer
-    //    comes from the shared loader — the same list the diagnose gate
-    //    and the server daemon use, so binaries can't drift.
-    let layer = load_layer("crypto", &tech)?.expect("crypto layer is shipped");
-    let mut js = JournaledSession::new(&layer.space, layer.root);
-    js.set_requirement("EOL", Value::from(spec.eol as i64))?;
-    js.set_requirement("MaxLatencyUs", Value::from(spec.max_latency_us))?;
-    js.set_requirement("ModuloIsOdd", Value::from("Guaranteed"))?;
-    js.decide("ImplementationStyle", Value::from("Hardware"))?;
-    js.decide("Algorithm", Value::from("Montgomery"))?;
-    let journal_text = js.journal().to_jsonl();
-    println!(
-        "journaled session: {} records, {} bindings",
-        js.journal().len(),
-        js.session().bindings().len()
-    );
-
-    let torn = format!("{journal_text}{{\"Decide\":{{\"name\":\"AdderSt");
-    let (recovered, report) = JournaledSession::recover(&layer.space, layer.root, &torn)?;
-    println!("simulated crash mid-append; recovery:");
-    for d in report.diagnostics.diagnostics() {
-        println!("  {d}");
+    // 3. Crash-safe sessions: a journaled daemon engine writes every
+    //    decision to disk before acknowledging it. Kill it and tear the
+    //    final record (a crash mid-append): the rebooted engine loses
+    //    exactly that record, replays the rest to the identical state,
+    //    keeps exploring, and survives the next kill with nothing it
+    //    acknowledged lost.
+    let dir = std::env::temp_dir().join(format!("dse-resilient-explore-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let boot = || {
+        EngineBuilder::new(tech.clone())
+            .with_shipped_layers()
+            .journal_dir(&dir)
+            .build()
+    };
+    let report = r#"{"op":"report","session":"koc"}"#;
+    let engine = boot()?;
+    for line in [
+        r#"{"op":"open","session":"koc","snapshot":"crypto"}"#.to_owned(),
+        decide("EOL", &spec.eol.to_string()),
+        decide("MaxLatencyUs", &format!("{:?}", spec.max_latency_us)),
+        decide("ModuloIsOdd", r#""Guaranteed""#),
+        decide("ImplementationStyle", r#""Hardware""#),
+        decide("Algorithm", r#""Montgomery""#),
+    ] {
+        ask(&engine, &line)?;
     }
-    assert_eq!(recovered.session(), js.session());
-    println!(
-        "  recovered to the exact pre-crash state ({} records intact)",
-        recovered.journal().len()
-    );
+    let before = ask(&engine, report)?;
+    drop(engine); // kill: no close, the journal stays
+    let journal = dir.join("koc.jsonl");
+    let records = std::fs::read_to_string(&journal)?.lines().count();
+    println!("journaled session: {records} records on disk, engine killed");
 
-    // ... and the recovered session keeps exploring where it left off.
-    let (mut session, _) = recovered.into_parts();
-    session.decide("AdderStructure", Value::from("carry-save"))?;
-    println!(
-        "  resumed exploration: AdderStructure decided, {} bindings total",
-        session.bindings().len()
-    );
+    let mut torn = std::fs::read_to_string(&journal)?;
+    torn.push_str(r#"{"Decide":{"name":"AdderSt"#);
+    std::fs::write(&journal, torn)?;
+    let engine = boot()?;
+    let attach = ask(&engine, r#"{"op":"open","session":"koc","resume":true}"#)?;
+    println!("simulated crash mid-append; recovery:");
+    for d in attach
+        .get("diagnostics")
+        .and_then(Json::as_array)
+        .unwrap_or(&[])
+    {
+        println!("  {}", d.as_str().unwrap_or_default());
+    }
+    assert_eq!(ask(&engine, report)?, before);
+    println!("  recovered to the exact pre-crash state ({records} records intact)");
+
+    // ... the recovered session keeps exploring where it left off, and
+    // what it acknowledges survives the next kill.
+    ask(&engine, &decide("AdderStructure", r#""carry-save""#))?;
+    let after = ask(&engine, report)?;
+    drop(engine);
+    let engine = boot()?;
+    assert_eq!(ask(&engine, report)?, after);
+    let bindings = after
+        .get("bindings")
+        .and_then(Json::as_object)
+        .map_or(0, <[_]>::len);
+    println!("  resumed exploration: AdderStructure decided, {bindings} bindings total");
+    println!("  a second kill loses nothing: the rebooted session reports the same state");
+    ask(&engine, r#"{"op":"close","session":"koc"}"#)?;
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
+}
+
+/// A `decide` request for the example's session; `value` is JSON.
+fn decide(name: &str, value: &str) -> String {
+    format!(r#"{{"op":"decide","session":"koc","name":"{name}","value":{value}}}"#)
+}
+
+/// Sends one request line and returns the reply, or the reply's error.
+fn ask(engine: &Engine, line: &str) -> Result<Json, Box<dyn std::error::Error>> {
+    let reply = Json::parse(&engine.handle_line(line))?;
+    match reply.get("ok").and_then(Json::as_bool) {
+        Some(true) => Ok(reply),
+        _ => Err(format!("{line} failed: {reply}").into()),
+    }
 }

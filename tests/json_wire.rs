@@ -1,5 +1,5 @@
 //! The JSON codec and the daemon's one request pipeline, pinned from
-//! three directions:
+//! four directions:
 //!
 //! 1. seeded random `Json` trees are a fixed point of
 //!    `encode` → `Json::parse` → `encode`;
@@ -15,7 +15,11 @@
 //!    script is a seeded protocol stream plus one hostile line per
 //!    decoder branch (syntax errors, non-objects, wrong-typed and
 //!    missing fields, integral floats, exotic ids, escapes, tagged
-//!    values, duplicate keys, `report`/`invalidate`/`shutdown`).
+//!    values, duplicate keys, `report`/`invalidate`/`shutdown`);
+//! 4. a journaled engine writes the same journal bytes for those two
+//!    conversations as `tests/golden/journal_bytes.golden` records
+//!    (recorded before the journal's one renderer replaced per-record
+//!    `json::encode`), compactions included.
 
 use design_space_layer::dse_server::protocol::parse_request;
 use design_space_layer::foundation::json::{self, Json};
@@ -259,4 +263,84 @@ fn random_protocol_stream(seed: u64, n: usize) -> Vec<String> {
         lines.push(line);
     }
     lines
+}
+
+// ---- journal bytes --------------------------------------------------------
+
+/// The files in `dir`, by name, sorted.
+fn dir_files(dir: &std::path::Path) -> std::collections::BTreeMap<String, String> {
+    std::fs::read_dir(dir)
+        .expect("journal dir exists")
+        .map(|e| {
+            let e = e.unwrap();
+            let text = std::fs::read_to_string(e.path()).unwrap();
+            (e.file_name().into_string().unwrap(), text)
+        })
+        .collect()
+}
+
+/// Replays both recorded conversations through a journaled engine that
+/// compacts every fourth record. After each request line, every file
+/// in the journal directory that changed is logged as a header
+/// `== <script>:<line> <file> <how>` where `how` is `+` (bytes appended;
+/// the appended bytes follow), `=` (rewritten, as compaction does; the
+/// whole file follows) or `-` (removed). The files left at the end
+/// follow in sorted order under `== <script>/<file>` headers.
+fn journal_bytes() -> String {
+    let mut out = String::new();
+    for name in ["server_smoke", "wire_fuzz"] {
+        let dir =
+            std::env::temp_dir().join(format!("dse-journal-golden-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = dse_server::EngineBuilder::new(techlib::Technology::g10_035())
+            .with_shipped_layers()
+            .journal_dir(&dir)
+            .guard(dse_server::GuardConfig {
+                compact_after: 4,
+                ..dse_server::GuardConfig::default()
+            })
+            .build()
+            .expect("engine builds");
+        let mut seen = dir_files(&dir);
+        for (i, line) in golden_lines(&format!("{name}.script")).iter().enumerate() {
+            engine.handle_line(line);
+            let now = dir_files(&dir);
+            for (file, text) in &now {
+                match seen.get(file) {
+                    Some(old) if old == text => {}
+                    Some(old) if text.starts_with(old.as_str()) => {
+                        out.push_str(&format!("== {name}:{i} {file} +\n"));
+                        out.push_str(&text[old.len()..]);
+                    }
+                    _ => {
+                        out.push_str(&format!("== {name}:{i} {file} =\n"));
+                        out.push_str(text);
+                    }
+                }
+            }
+            for file in seen.keys().filter(|f| !now.contains_key(*f)) {
+                out.push_str(&format!("== {name}:{i} {file} -\n"));
+            }
+            seen = now;
+        }
+        drop(engine);
+        for (file, text) in dir_files(&dir) {
+            out.push_str(&format!("== {name}/{file}\n"));
+            out.push_str(&text);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    out
+}
+
+#[test]
+fn journal_bytes_match_the_recorded_golden() {
+    let path = format!(
+        "{}/tests/golden/journal_bytes.golden",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    let live = journal_bytes();
+    assert!(live.contains(".jsonl =\n"), "no journal was compacted");
+    assert_eq!(live, golden, "journal bytes drifted from the golden");
 }

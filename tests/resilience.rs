@@ -164,66 +164,134 @@ fn failed_operations_leave_the_session_bit_identical() {
     }
 }
 
+/// Applies `record` to `session` and journals it only if the session
+/// accepted it, as the daemon does. Returns whether it was accepted.
+fn apply_journaled(
+    session: &mut ExplorationSession<'_>,
+    journal: &mut Journal,
+    record: JournalRecord,
+) -> bool {
+    let applied = match &record {
+        JournalRecord::SetRequirement { name, value } => {
+            session.set_requirement(name, value.clone())
+        }
+        JournalRecord::Decide { name, value } => session.decide(name, value.clone()),
+        JournalRecord::Undo => session.undo().map(|_| ()),
+        JournalRecord::Annotate { name, note } => session.annotate(name, note.clone()),
+        other => unreachable!("not generated here: {other:?}"),
+    };
+    if applied.is_ok() {
+        journal.append(record);
+    }
+    applied.is_ok()
+}
+
+fn requirement(name: &str, value: Value) -> JournalRecord {
+    JournalRecord::SetRequirement {
+        name: name.into(),
+        value,
+    }
+}
+
+fn decision(name: &str, value: Value) -> JournalRecord {
+    JournalRecord::Decide {
+        name: name.into(),
+        value,
+    }
+}
+
+/// The crypto session's three requirements, journaled.
+fn crypto_requirements(session: &mut ExplorationSession<'_>, journal: &mut Journal) {
+    for record in [
+        requirement("EOL", Value::from(768)),
+        requirement("MaxLatencyUs", Value::from(8.0)),
+        requirement("ModuloIsOdd", Value::from("Guaranteed")),
+    ] {
+        assert!(apply_journaled(session, journal, record));
+    }
+}
+
 #[test]
 fn recovery_replays_to_the_exact_original_state() {
     let layer = crypto::build_layer().unwrap();
     for seed in chaos_seeds() {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut js = JournaledSession::new(&layer.space, layer.omm);
-        js.set_requirement("EOL", Value::from(768)).unwrap();
-        js.set_requirement("MaxLatencyUs", Value::from(8.0)).unwrap();
-        js.set_requirement("ModuloIsOdd", Value::from("Guaranteed"))
-            .unwrap();
+        let mut session = ExplorationSession::new(&layer.space, layer.omm);
+        let mut journal = Journal::new();
+        crypto_requirements(&mut session, &mut journal);
         // A seeded mix of decisions, rejections, undos and annotations;
         // rejected operations must never reach the journal.
+        let mut accepted = 0;
+        let mut rejected = 0;
         for _ in 0..30 {
-            let _ = match rng.gen_range(1..=6) {
-                1 => js.decide("ImplementationStyle", Value::from("Hardware")),
-                2 => js.decide("ImplementationStyle", Value::from("Software")),
-                3 => js.decide("Algorithm", Value::from("Montgomery")),
-                4 => js.undo(),
-                5 => js.annotate("EOL", "chaos note"),
-                _ => js.decide("BehavioralDecomposition", Value::from("use-default")),
+            let record = match rng.gen_range(1..=6) {
+                1 => decision("ImplementationStyle", Value::from("Hardware")),
+                2 => decision("ImplementationStyle", Value::from("Software")),
+                3 => decision("Algorithm", Value::from("Montgomery")),
+                4 => JournalRecord::Undo,
+                5 => JournalRecord::Annotate {
+                    name: "EOL".into(),
+                    note: "chaos note".into(),
+                },
+                _ => decision("BehavioralDecomposition", Value::from("use-default")),
             };
+            if apply_journaled(&mut session, &mut journal, record) {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
         }
-        let text = js.journal().to_jsonl();
-        let (recovered, report) =
-            JournaledSession::recover(&layer.space, layer.omm, &text).unwrap();
-        assert!(report.is_clean());
+        assert!(
+            rejected > 0,
+            "seed {seed}: the mix should produce rejections"
+        );
         assert_eq!(
-            recovered.session(),
-            js.session(),
+            journal.len(),
+            3 + accepted,
+            "seed {seed}: rejected ops journaled"
+        );
+        let text = journal.to_jsonl();
+        let (recovered, report) = Journal::from_jsonl(&text).unwrap();
+        assert!(report.is_clean() && report.is_appendable());
+        assert_eq!(recovered, journal);
+        assert_eq!(
+            recovered.replay(&layer.space, layer.omm).unwrap(),
+            session,
             "seed {seed}: recover(replay(s)) must equal s"
         );
-        assert_eq!(recovered.journal(), js.journal());
+        // The compaction checkpoint replays to the same state too.
+        let checkpoint = Journal::checkpoint(&session).expect("no stale decisions");
+        assert!(checkpoint.len() <= journal.len());
+        assert_eq!(checkpoint.replay(&layer.space, layer.omm).unwrap(), session);
     }
 }
 
 #[test]
 fn torn_journal_tail_drops_only_the_torn_record() {
     let layer = crypto::build_layer().unwrap();
-    let mut js = JournaledSession::new(&layer.space, layer.omm);
-    js.set_requirement("EOL", Value::from(768)).unwrap();
-    js.set_requirement("MaxLatencyUs", Value::from(8.0)).unwrap();
-    js.set_requirement("ModuloIsOdd", Value::from("Guaranteed"))
-        .unwrap();
-    js.decide("ImplementationStyle", Value::from("Hardware"))
-        .unwrap();
-    let intact = js.journal().to_jsonl();
+    let mut session = ExplorationSession::new(&layer.space, layer.omm);
+    let mut journal = Journal::new();
+    crypto_requirements(&mut session, &mut journal);
+    assert!(apply_journaled(
+        &mut session,
+        &mut journal,
+        decision("ImplementationStyle", Value::from("Hardware"))
+    ));
+    let intact = journal.to_jsonl();
 
     // Crash mid-append: the final record is half-written.
     let torn = format!("{intact}{{\"Decide\":{{\"name\":\"Algo");
-    let (recovered, report) = JournaledSession::recover(&layer.space, layer.omm, &torn).unwrap();
-    assert!(!report.is_clean());
+    let (recovered, report) = Journal::from_jsonl(&torn).unwrap();
+    assert!(!report.is_clean() && !report.is_appendable());
     assert_eq!(report.diagnostics.diagnostics()[0].code, DiagCode::TornJournalTail);
-    assert_eq!(recovered.journal().len(), js.journal().len());
-    assert_eq!(recovered.session(), js.session());
+    assert_eq!(recovered.len(), journal.len());
+    assert_eq!(recovered.replay(&layer.space, layer.omm).unwrap(), session);
 
     // A corrupt record *before* the tail is not recoverable silently.
     let mut lines: Vec<&str> = intact.lines().collect();
     lines.insert(1, "garbage mid-journal");
     let garbled = lines.join("\n");
-    let err = JournaledSession::recover(&layer.space, layer.omm, &garbled).unwrap_err();
+    let err = Journal::from_jsonl(&garbled).unwrap_err();
     assert!(matches!(err, RecoverError::Corrupt { line: 2, .. }), "{err}");
 }
 

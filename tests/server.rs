@@ -182,17 +182,28 @@ fn thousand_journaled_sessions_survive_a_kill() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The `boot_warnings` of a running engine.
+fn boot_warnings(engine: &Engine) -> Vec<Json> {
+    let stats = ok(&engine.handle_line(r#"{"op":"stats"}"#));
+    stats
+        .get("boot_warnings")
+        .and_then(|w| w.as_array())
+        .unwrap()
+        .to_vec()
+}
+
 #[test]
 fn kill_recovery_tolerates_torn_tails_and_rejects_corruption() {
     let dir = temp_dir("torn");
     let first = engine(Some(&dir));
-    for id in ["good", "torn", "corrupt"] {
+    for id in ["good", "torn", "unterminated", "corrupt"] {
         for line in script(id, 1) {
             ok(&first.handle_line(&line));
         }
     }
     let pristine_good = report_of(&first, "good");
     let pristine_torn = report_of(&first, "torn");
+    let pristine_unterminated = report_of(&first, "unterminated");
     drop(first); // kill: no close, journals stay
 
     // A crash mid-append tears the final record of one journal...
@@ -200,6 +211,10 @@ fn kill_recovery_tolerates_torn_tails_and_rejects_corruption() {
     let mut text = std::fs::read_to_string(&torn_path).unwrap();
     text.push_str(r#"{"Decide":{"name":"AdderSt"#); // no newline, half a record
     std::fs::write(&torn_path, &text).unwrap();
+    // ...another loses only the newline after its last, complete record...
+    let unterminated_path = dir.join("unterminated.jsonl");
+    let text = std::fs::read_to_string(&unterminated_path).unwrap();
+    std::fs::write(&unterminated_path, text.strip_suffix('\n').unwrap()).unwrap();
     // ...and bit-rot corrupts the *body* of another.
     let corrupt_path = dir.join("corrupt.jsonl");
     let body = std::fs::read_to_string(&corrupt_path).unwrap();
@@ -209,12 +224,13 @@ fn kill_recovery_tolerates_torn_tails_and_rejects_corruption() {
     std::fs::write(&corrupt_path, rewritten.join("\n") + "\n").unwrap();
 
     let second = engine(Some(&dir));
-    // good and torn come back; corrupt is refused with a boot warning.
-    assert_eq!(second.open_sessions(), 2);
+    // good, torn and unterminated come back; corrupt is refused with a
+    // boot warning.
+    assert_eq!(second.open_sessions(), 3);
     assert_eq!(report_of(&second, "good"), pristine_good);
     assert_eq!(report_of(&second, "torn"), pristine_torn);
-    let stats = ok(&second.handle_line(r#"{"op":"stats"}"#));
-    let warnings = stats.get("boot_warnings").and_then(|w| w.as_array()).unwrap();
+    assert_eq!(report_of(&second, "unterminated"), pristine_unterminated);
+    let warnings = boot_warnings(&second);
     assert_eq!(warnings.len(), 1);
     assert!(warnings[0].as_str().unwrap().contains("corrupt"));
 
@@ -227,9 +243,14 @@ fn kill_recovery_tolerates_torn_tails_and_rejects_corruption() {
         notes.iter().any(|n| n.as_str().unwrap().contains("DSL201")),
         "torn tail should surface DSL201, got {notes:?}"
     );
-    ok(&second.handle_line(
-        r#"{"op":"decide","session":"torn","name":"AdderStructure","value":"carry-save"}"#,
-    ));
+    let carry_save = |id: &str| {
+        format!(
+            r#"{{"op":"decide","session":"{id}","name":"AdderStructure","value":"carry-save"}}"#
+        )
+    };
+    for id in ["torn", "unterminated"] {
+        ok(&second.handle_line(&carry_save(id)));
+    }
 
     // The corrupt session errors with a stable journal-fault code.
     let refused = Json::parse(
@@ -238,6 +259,28 @@ fn kill_recovery_tolerates_torn_tails_and_rejects_corruption() {
     .unwrap();
     assert_eq!(refused.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(refused.get("code").and_then(Json::as_str), Some("DSL307"));
+    ok(&second.handle_line(r#"{"op":"close","session":"corrupt"}"#));
+
+    // The decides acknowledged after recovery survive the next kill:
+    // recovery rewrote both damaged journals before their first append,
+    // so nothing lands on a torn line. Twice, so a record appended after
+    // the rewrite is never left mid-file either.
+    let mut live = second;
+    for round in 0..2 {
+        let reports: Vec<String> = ["good", "torn", "unterminated"]
+            .iter()
+            .map(|id| report_of(&live, id))
+            .collect();
+        drop(live); // kill
+        live = engine(Some(&dir));
+        assert_eq!(boot_warnings(&live), Vec::<Json>::new(), "round {round}");
+        for (id, report) in ["good", "torn", "unterminated"].iter().zip(&reports) {
+            assert_eq!(&report_of(&live, id), report, "round {round}: {id}");
+        }
+        for id in ["torn", "unterminated"] {
+            ok(&live.handle_line(&format!(r#"{{"op":"retract","session":"{id}"}}"#)));
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

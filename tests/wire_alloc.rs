@@ -13,9 +13,11 @@
 //! * a warm `stats` round-trip through `handle_line_into` with a reused
 //!   response buffer performs **zero** allocations end to end — decode,
 //!   dispatch, render;
-//! * a warm `decide` round-trip allocates only what the session core
-//!   needs: it stays within a fixed small budget, so codec allocations
-//!   cannot silently creep back in;
+//! * a warm `decide` (Int and Text value) and a warm `retract` allocate
+//!   only what the session core needs: each stays within a fixed small
+//!   budget, so codec allocations cannot silently creep back in;
+//! * journaling adds no allocation to a warm `decide` or `retract`: a
+//!   journaled engine allocates exactly as often as an unjournaled one;
 //! * a warm pipelined burst of 32 `stats` lines through the daemon's
 //!   serving loop performs **zero** allocations: serving 1 burst and
 //!   serving 50 bursts cost exactly the same.
@@ -156,30 +158,71 @@ fn wire_codec_is_allocation_free_in_steady_state() {
         fifty_bursts.saturating_sub(one_burst)
     );
 
-    // -- a warm decide round-trip allocates only for the session core ----
-    engine.handle_line(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
-    let decide = r#"{"op":"decide","session":"w","name":"EOL","value":768}"#;
-    let retract = r#"{"op":"retract","session":"w"}"#;
-    for _ in 0..16 {
-        out.clear();
-        engine.handle_line_into(decide, &mut out); // warm-up
-        out.clear();
-        engine.handle_line_into(retract, &mut out);
-    }
-    let (decide_allocs, ()) = allocations_in(|| {
-        out.clear();
-        engine.handle_line_into(decide, &mut out);
-    });
-    engine.handle_line(retract);
-    // The session core legitimately allocates (decision log entry,
-    // owned value, focus path); the budget below holds the codec at
-    // zero — re-adding a tree parse or `format!`-style rendering blows
-    // past it. Measured: 20 allocations, all in the session core. A tree
-    // parse alone adds 10+, so the budget still trips on any codec
-    // regression.
+    // -- warm decide and retract allocate only for the session core -----
+    // The session core legitimately allocates (decision log entry, owned
+    // value, focus path); the budgets below hold the codec at zero —
+    // re-adding a tree parse or `format!`-style rendering blows past
+    // them (a tree parse alone adds 10+). Measured: 20 allocations for
+    // an Int decide, 22 for a Text decide (the decoded value moves into
+    // the session, never cloned), 5 for a retract.
+    let plain = meter_decide_and_retract(&engine);
+    let [int, text, retract] = plain;
     assert!(
-        decide_allocs <= 32,
-        "warm decide round-trip allocated {decide_allocs}× — codec \
-         allocations are creeping back into the wire path"
+        int <= 20,
+        "warm Int decide allocated {int}× — codec allocations are creeping \
+         back into the wire path"
     );
+    assert!(text <= 22, "warm Text decide allocated {text}×");
+    assert!(retract <= 5, "warm retract allocated {retract}×");
+
+    // -- journaling adds no allocation to a warm decide or retract ------
+    // The record is rendered straight from the session's log entry into
+    // the appender's reused buffer and written with one `write_all`.
+    let dir = std::env::temp_dir().join(format!("dse-wire-alloc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journaled = EngineBuilder::new(techlib::Technology::g10_035())
+        .with_shipped_layers()
+        .journal_dir(&dir)
+        .build()
+        .expect("journaled engine builds");
+    assert_eq!(
+        meter_decide_and_retract(&journaled),
+        plain,
+        "journaling changed the [Int decide, Text decide, retract] allocation counts"
+    );
+    drop(journaled);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Opens session `w` on `engine`, warms it up, and returns the
+/// allocations of one warm Int `decide`, one warm Text `decide` and one
+/// warm `retract`, each a full `handle_line_into` round trip.
+fn meter_decide_and_retract(engine: &design_space_layer::dse_server::Engine) -> [u64; 3] {
+    let decide_int = r#"{"op":"decide","session":"w","name":"EOL","value":768}"#;
+    let decide_text = r#"{"op":"decide","session":"w","name":"ModuloIsOdd","value":"Guaranteed"}"#;
+    let retract = r#"{"op":"retract","session":"w"}"#;
+    let mut out = Vec::new();
+    let mut round_trip = |line: &str| {
+        allocations_in(|| {
+            out.clear();
+            engine.handle_line_into(line, &mut out);
+        })
+        .0
+    };
+    round_trip(r#"{"op":"open","session":"w","snapshot":"crypto"}"#);
+    for _ in 0..16 {
+        for line in [decide_int, retract, decide_text, retract] {
+            round_trip(line);
+        }
+    }
+    let int = round_trip(decide_int);
+    let retracted = round_trip(retract);
+    let text = round_trip(decide_text);
+    round_trip(retract);
+    assert!(
+        out.starts_with(br#"{"ok":true"#),
+        "{}",
+        String::from_utf8_lossy(&out)
+    );
+    [int, text, retracted]
 }
